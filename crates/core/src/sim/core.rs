@@ -70,23 +70,10 @@ impl ScheduleRef<'_> {
 /// re-querying (and re-cloning) [`LayerCost`]s through the cost model's
 /// lock on every probe. `layer_cost` is a pure function of
 /// (layer, slice, metric), so the table is bit-identical to on-demand
-/// queries by construction.
-pub(crate) enum CostTable {
-    /// Built for one frame (single-frame replay).
-    Owned(Vec<LayerCost>),
-    /// Shared across all frames compiled to one schedule (the streaming
-    /// engine builds one table per compile and reuses it per arrival).
-    Shared(Arc<Vec<LayerCost>>),
-}
-
-impl CostTable {
-    fn get(&self) -> &[LayerCost] {
-        match self {
-            CostTable::Owned(c) => c,
-            CostTable::Shared(c) => c,
-        }
-    }
-}
+/// queries by construction. Shared by every frame admitted against the
+/// same compiled schedule (the streaming engine interns one per distinct
+/// workload of a run).
+pub(crate) type CostTable = Arc<[LayerCost]>;
 
 /// Builds the per-task cost table for `schedule` on `acc`.
 ///
@@ -100,7 +87,7 @@ pub(crate) fn build_cost_table(
     acc: &AcceleratorConfig,
     cost: &CostModel,
     metric: Metric,
-) -> Vec<LayerCost> {
+) -> CostTable {
     let subs = acc.sub_accelerators();
     graph
         .ids()
@@ -268,13 +255,13 @@ impl<'a> EventCore<'a> {
             let g = graph.get();
             let s = schedule.get();
             self.validate_shape(g, s)?;
-            CostTable::Owned(build_cost_table(g, s, self.acc, self.cost, self.metric))
+            build_cost_table(g, s, self.acc, self.cost, self.metric)
         };
         self.admit_with_costs(graph, schedule, costs, arrival_s)
     }
 
-    /// [`EventCore::admit`] with a caller-supplied (typically shared)
-    /// cost table, which must have one entry per task of the graph.
+    /// [`EventCore::admit`] with a caller-supplied shared cost table,
+    /// which must have one entry per task of the graph.
     pub(crate) fn admit_with_costs(
         &mut self,
         graph: GraphRef<'a>,
@@ -286,10 +273,10 @@ impl<'a> EventCore<'a> {
             let g = graph.get();
             let s = schedule.get();
             self.validate_shape(g, s)?;
-            if costs.get().len() != g.len() {
+            if costs.len() != g.len() {
                 return Err(SimError::InvalidSchedule(format!(
                     "cost table covers {} tasks, graph has {}",
-                    costs.get().len(),
+                    costs.len(),
                     g.len()
                 )));
             }
@@ -345,7 +332,6 @@ impl<'a> EventCore<'a> {
         let staging_cap = self.staging_cap();
         let frame_occ_cap = state
             .costs
-            .get()
             .iter()
             .map(|c| c.buffer.occupancy_bytes(staging_cap))
             .max()
@@ -491,7 +477,7 @@ impl<'a> EventCore<'a> {
             }
             let graph = frame.graph.get();
             let schedule = frame.schedule.get();
-            let costs = frame.costs.get();
+            let costs = &frame.costs;
             for (a, queue) in schedule.order().iter().enumerate() {
                 if frame.head[a] >= queue.len() {
                     continue;
@@ -607,8 +593,7 @@ impl<'a> EventCore<'a> {
             let cost = &self.frames[fi]
                 .as_ref()
                 .expect("commit targets an in-flight frame")
-                .costs
-                .get()[t.0];
+                .costs[t.0];
             (
                 cost.latency_s,
                 cost.buffer.occupancy_bytes(staging_cap),

@@ -12,7 +12,9 @@
 //! of (graph, accelerator, cost model), the incremental path is
 //! bit-identical to re-running the scheduler at every arrival;
 //! [`ReschedulePolicy::FullReschedule`] forces that full path for
-//! equivalence checks and baseline measurements.
+//! equivalence checks and baseline measurements. Under either policy a
+//! run interns one (schedule, cost table) pair per distinct workload, so
+//! streams that share a model share its cost table.
 
 use crate::ctx::{EvalContext, EvalStats};
 use crate::error::HeraldError;
@@ -25,7 +27,7 @@ use crate::sim::report::{
 };
 use crate::task::TaskGraph;
 use herald_arch::AcceleratorConfig;
-use herald_cost::{CostModel, LayerCost, Metric};
+use herald_cost::{CostModel, Metric};
 use herald_workloads::{ArrivalProcess, MultiDnnWorkload, Scenario, StreamSpec};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -367,29 +369,44 @@ impl Iterator for RoutedTraceIter<'_> {
 }
 
 /// A compiled (schedule, cost table) pair: everything a frame admission
-/// needs, shareable across every arrival of a stream's current workload
-/// version by two pointer bumps.
+/// needs, shareable across every arrival of every stream compiled to the
+/// same schedule by two pointer bumps.
 #[derive(Clone)]
 struct CompiledSchedule {
     schedule: Arc<crate::sched::Schedule>,
-    costs: Arc<Vec<LayerCost>>,
+    costs: CostTable,
+}
+
+/// One distinct workload of a run, interned by structure: streams, token
+/// buckets and swap targets instantiated from a shared workload build and
+/// fingerprint one graph, and share one compiled schedule.
+struct InternedWorkload<'w> {
+    workload: &'w MultiDnnWorkload,
+    graph: Arc<TaskGraph>,
+    /// Interned workload name, shared with every frame/swap record (an
+    /// `Arc<str>` bump per event, not a `String` clone).
+    name: Arc<str>,
+    /// The first schedule compiled for `graph` in this run, with its cost
+    /// table. The chip, cost model, metric and scheduler are fixed for a
+    /// run, so the run-local workload index is a complete key: a
+    /// deterministic scheduler hands back an equal schedule on every later
+    /// compile, which [`compile`] then serves from here.
+    compiled: Option<CompiledSchedule>,
 }
 
 /// One compiled-schedule slot of a chained stream's per-token workload
 /// table: tokens sharing a KV bucket share the slot (and its
 /// dirty-tracked schedule); distinct buckets compile independently.
 struct TokenSlot {
-    graph: Arc<TaskGraph>,
-    workload_name: Arc<str>,
+    /// Index into the run's interned workloads.
+    workload: usize,
     compiled: Option<CompiledSchedule>,
 }
 
 /// Per-stream mutable state while the trace plays out.
 struct StreamState {
-    graph: Arc<TaskGraph>,
-    /// Interned workload name, shared with every frame/swap record of
-    /// this stream (an `Arc<str>` bump per event, not a `String` clone).
-    workload_name: Arc<str>,
+    /// Index into the run's interned workloads (the current version).
+    workload: usize,
     deadline_s: Option<f64>,
     /// The schedule (plus its per-task cost table) compiled for the
     /// stream's *current* workload — the dirty-tracked memo of the
@@ -409,28 +426,31 @@ struct StreamState {
     token_map: Vec<usize>,
 }
 
-/// Interns one workload's task graph by structure: streams (and token
-/// buckets) instantiated from a shared workload build and fingerprint a
-/// single graph, not one per user.
+/// Interns one workload by structure and returns its run-local index:
+/// streams (and token buckets, and swap targets) instantiated from a
+/// shared workload build and fingerprint a single graph, not one per
+/// user.
 fn intern_workload<'w>(
     w: &'w MultiDnnWorkload,
-    interned: &mut Vec<(&'w MultiDnnWorkload, Arc<TaskGraph>, Arc<str>)>,
+    interned: &mut Vec<InternedWorkload<'w>>,
     profile: &mut HotPathProfile,
-) -> (Arc<TaskGraph>, Arc<str>) {
-    match interned.iter().find(|(iw, _, _)| iw.same_structure(w)) {
-        Some((_, g, n)) => (Arc::clone(g), Arc::clone(n)),
-        None => {
-            let g = Arc::new(TaskGraph::new(w));
-            // The "precalculated" memo tier: fingerprint each distinct
-            // graph up front so per-arrival memo probes only hash the
-            // short accelerator/scheduler/cost tail.
-            g.structural_fingerprint();
-            profile.precomputed_graph_fingerprints += 1;
-            let n: Arc<str> = Arc::from(w.name());
-            interned.push((w, Arc::clone(&g), Arc::clone(&n)));
-            (g, n)
-        }
+) -> usize {
+    if let Some(i) = interned.iter().position(|iw| iw.workload.same_structure(w)) {
+        return i;
     }
+    let graph = Arc::new(TaskGraph::new(w));
+    // The "precalculated" memo tier: fingerprint each distinct graph up
+    // front so per-arrival memo probes only hash the short
+    // accelerator/scheduler/cost tail.
+    graph.structural_fingerprint();
+    profile.precomputed_graph_fingerprints += 1;
+    interned.push(InternedWorkload {
+        workload: w,
+        graph,
+        name: Arc::from(w.name()),
+        compiled: None,
+    });
+    interned.len() - 1
 }
 
 /// Runs one online compile and classifies it for the report: a
@@ -439,13 +459,17 @@ fn intern_workload<'w>(
 /// cache hit rather than a fresh compile. The scheduler reports the
 /// distinction in-band ([`Scheduler::schedule_tracked`]), so the
 /// classification stays correct even when several threads record into
-/// one shared [`EvalContext`] concurrently. The compiled schedule's
-/// per-task cost table is built here, once, and shared by every frame
-/// admitted against it.
+/// one shared [`EvalContext`] concurrently.
+///
+/// The scheduler is always called; only the cost table is interned. A
+/// schedule equal to the workload's interned one is served as the
+/// interned (schedule, cost table) pair. Any other schedule (only a
+/// non-deterministic scheduler returns one) builds its own table, and the
+/// first compile of a workload becomes its interned pair.
 #[allow(clippy::too_many_arguments)]
 fn compile<S: Scheduler>(
     scheduler: &S,
-    graph: &TaskGraph,
+    workload: &mut InternedWorkload<'_>,
     acc: &AcceleratorConfig,
     cost: &CostModel,
     metric: Metric,
@@ -454,19 +478,28 @@ fn compile<S: Scheduler>(
     cache_hits: &mut usize,
     profile: &mut HotPathProfile,
 ) -> Result<CompiledSchedule, HeraldError> {
-    let (schedule, memo_hit) = scheduler.schedule_tracked(graph, acc, cost, stats)?;
+    let (schedule, memo_hit) = scheduler.schedule_tracked(&workload.graph, acc, cost, stats)?;
     if memo_hit {
         *cache_hits += 1;
     } else {
         *invocations += 1;
     }
-    let costs = build_cost_table(graph, &schedule, acc, cost, metric);
+    if let Some(interned) = &workload.compiled {
+        if *interned.schedule == schedule {
+            return Ok(interned.clone());
+        }
+    }
+    let costs = build_cost_table(&workload.graph, &schedule, acc, cost, metric);
     profile.cost_tables_built += 1;
     profile.cost_table_entries += costs.len() as u64;
-    Ok(CompiledSchedule {
+    let compiled = CompiledSchedule {
         schedule: Arc::new(schedule),
-        costs: Arc::new(costs),
-    })
+        costs,
+    };
+    if workload.compiled.is_none() {
+        workload.compiled = Some(compiled.clone());
+    }
+    Ok(compiled)
 }
 
 /// Which source holds the globally next event: the lazy spec-derived
@@ -788,28 +821,25 @@ impl<'a> StreamSimulator<'a> {
     ) -> Result<(StreamReport, HotPathProfile), HeraldError> {
         let mut profile = HotPathProfile::default();
 
-        // Intern task graphs by workload structure: a million streams
-        // instantiated from a handful of shared workloads build (and
-        // fingerprint) one graph per distinct workload, not per stream.
-        // Interning only dedupes the immutable graph/name allocations;
-        // each stream still tracks its own compiled schedule, so
-        // compile/cache-hit counts are unchanged.
-        let mut interned: Vec<(&MultiDnnWorkload, Arc<TaskGraph>, Arc<str>)> = Vec::new();
+        // Intern workloads by structure: a million streams instantiated
+        // from a handful of shared workloads build (and fingerprint) one
+        // graph and one cost table per distinct workload, not per
+        // stream. Each stream still tracks its own compiled schedule and
+        // calls the scheduler exactly as often, so compile/cache-hit
+        // counts are unchanged.
+        let mut interned: Vec<InternedWorkload<'_>> = Vec::new();
         let mut streams: Vec<StreamState> = Vec::with_capacity(specs.len());
         for s in specs {
-            let (graph, workload_name) = intern_workload(s.workload(), &mut interned, &mut profile);
+            let workload = intern_workload(s.workload(), &mut interned, &mut profile);
             let mut token_slots: Vec<TokenSlot> = Vec::new();
-            let mut slot_workloads: Vec<&MultiDnnWorkload> = Vec::new();
             let mut token_map: Vec<usize> = Vec::with_capacity(s.token_workloads().len());
             for tw in s.token_workloads() {
-                let slot = match slot_workloads.iter().position(|w| w.same_structure(tw)) {
+                let w = intern_workload(tw, &mut interned, &mut profile);
+                let slot = match token_slots.iter().position(|slot| slot.workload == w) {
                     Some(i) => i,
                     None => {
-                        let (g, n) = intern_workload(tw, &mut interned, &mut profile);
-                        slot_workloads.push(tw);
                         token_slots.push(TokenSlot {
-                            graph: g,
-                            workload_name: n,
+                            workload: w,
                             compiled: None,
                         });
                         token_slots.len() - 1
@@ -818,15 +848,13 @@ impl<'a> StreamSimulator<'a> {
                 token_map.push(slot);
             }
             streams.push(StreamState {
-                graph,
-                workload_name,
+                workload,
                 deadline_s: s.deadline_s(),
                 compiled: None,
                 token_slots,
                 token_map,
             });
         }
-        drop(interned);
 
         let mut core = EventCore::new(self.acc, self.cost, self.metric);
         let mut pending: Vec<PendingFrame> = Vec::new();
@@ -1000,11 +1028,11 @@ impl<'a> StreamSimulator<'a> {
                         // resolves this token's slot (same-bucket tokens
                         // share the compiled schedule); every other
                         // stream uses its single dirty-tracked slot.
-                        let (graph, workload_name, compiled_slot) = if stream.token_map.is_empty() {
-                            (&stream.graph, &stream.workload_name, &mut stream.compiled)
+                        let (workload, compiled_slot) = if stream.token_map.is_empty() {
+                            (stream.workload, &mut stream.compiled)
                         } else {
                             let slot = &mut stream.token_slots[stream.token_map[seq]];
-                            (&slot.graph, &slot.workload_name, &mut slot.compiled)
+                            (slot.workload, &mut slot.compiled)
                         };
                         let compiled = match self.policy {
                             ReschedulePolicy::Incremental => match &*compiled_slot {
@@ -1015,7 +1043,7 @@ impl<'a> StreamSimulator<'a> {
                                 None => {
                                     let compiled = compile(
                                         scheduler,
-                                        graph,
+                                        &mut interned[workload],
                                         self.acc,
                                         self.cost,
                                         self.metric,
@@ -1032,7 +1060,7 @@ impl<'a> StreamSimulator<'a> {
                                 Some(compiled) => compiled,
                                 None => compile(
                                     scheduler,
-                                    graph,
+                                    &mut interned[workload],
                                     self.acc,
                                     self.cost,
                                     self.metric,
@@ -1047,11 +1075,12 @@ impl<'a> StreamSimulator<'a> {
                             profile.compile_ns += t0.elapsed().as_nanos() as u64;
                         }
                         let t0 = timed.then(Instant::now);
+                        let workload = &interned[workload];
                         let handle = core
                             .admit_with_costs(
-                                GraphRef::Shared(Arc::clone(graph)),
+                                GraphRef::Shared(Arc::clone(&workload.graph)),
                                 ScheduleRef::Shared(compiled.schedule),
-                                CostTable::Shared(compiled.costs),
+                                compiled.costs,
                                 event.t,
                             )
                             .map_err(HeraldError::Simulation)?;
@@ -1063,15 +1092,13 @@ impl<'a> StreamSimulator<'a> {
                             handle,
                             stream: event.stream,
                             seq,
-                            workload: Arc::clone(workload_name),
+                            workload: Arc::clone(&workload.name),
                             deadline_s: stream.deadline_s,
                         });
                     }
                     EventKind::Swap { swap_index } => {
                         let swap = &specs[event.stream].swaps()[swap_index];
-                        let graph = Arc::new(TaskGraph::new(&swap.workload));
-                        graph.structural_fingerprint();
-                        profile.precomputed_graph_fingerprints += 1;
+                        let to = intern_workload(&swap.workload, &mut interned, &mut profile);
                         // The swap dirties exactly this stream's
                         // compiled schedule; recompile eagerly at the
                         // change event (modeling the runtime recompiling
@@ -1080,7 +1107,7 @@ impl<'a> StreamSimulator<'a> {
                         let t0 = timed.then(Instant::now);
                         stream.compiled = Some(compile(
                             scheduler,
-                            &graph,
+                            &mut interned[to],
                             self.acc,
                             self.cost,
                             self.metric,
@@ -1092,15 +1119,13 @@ impl<'a> StreamSimulator<'a> {
                         if let Some(t0) = t0 {
                             profile.compile_ns += t0.elapsed().as_nanos() as u64;
                         }
-                        let to: Arc<str> = Arc::from(swap.workload.name());
                         swaps.push(SwapRecord {
                             stream: event.stream,
                             at_s: event.t,
-                            from: Arc::clone(&stream.workload_name),
-                            to: Arc::clone(&to),
+                            from: Arc::clone(&interned[stream.workload].name),
+                            to: Arc::clone(&interned[to].name),
                         });
-                        stream.graph = graph;
-                        stream.workload_name = to;
+                        stream.workload = to;
                     }
                 }
                 if batch_events >= self.admission_batch {
@@ -1287,6 +1312,28 @@ pub(crate) fn validate_scenario(scenario: &Scenario) -> Result<(), HeraldError> 
                 }
                 if s.token_workloads().iter().any(|w| w.total_layers() == 0) {
                     return fail(format!("stream {:?} has an empty token workload", s.name()));
+                }
+            }
+            // The thinning sampler draws candidates at `peak_fps` and keeps
+            // each with probability rate / peak, so the peak must bound the
+            // ramp: a trough above it would silently yield a flat
+            // `peak_fps` Poisson stream.
+            ArrivalProcess::Diurnal {
+                trough_fps,
+                peak_fps,
+                ..
+            } => {
+                if !(*peak_fps > 0.0 && peak_fps.is_finite()) {
+                    return fail(format!(
+                        "stream {:?} diurnal peak rate must be positive and finite, got {peak_fps}",
+                        s.name()
+                    ));
+                }
+                if !(*trough_fps >= 0.0 && trough_fps <= peak_fps) {
+                    return fail(format!(
+                        "stream {:?} diurnal trough rate must lie in [0, {peak_fps}], got {trough_fps}",
+                        s.name()
+                    ));
                 }
             }
             _ if rate > 0.0 && rate.is_finite() => {}
@@ -1607,6 +1654,46 @@ mod tests {
             sim.simulate(&sched, &empty_workload),
             Err(HeraldError::Scenario { .. })
         ));
+        // Diurnal rates must satisfy 0 <= trough <= peak with a positive,
+        // finite peak; otherwise thinning would accept every candidate
+        // and emit a flat stream at `peak_fps` without complaint.
+        for (trough_fps, peak_fps) in [
+            (120.0, 40.0),
+            (-10.0, 40.0),
+            (f64::NAN, 40.0),
+            (0.0, f64::INFINITY),
+            (40.0, f64::NAN),
+        ] {
+            let diurnal = Scenario::new("diurnal", 1.0).stream(StreamSpec::new(
+                "s",
+                tiny_workload(),
+                ArrivalProcess::Diurnal {
+                    trough_fps,
+                    peak_fps,
+                    seed: 3,
+                },
+            ));
+            assert!(
+                matches!(
+                    sim.simulate(&sched, &diurnal),
+                    Err(HeraldError::Scenario { .. })
+                ),
+                "diurnal trough {trough_fps} / peak {peak_fps} must be rejected"
+            );
+        }
+        // The boundaries stay legal: a zero trough and a flat ramp.
+        for (trough_fps, peak_fps) in [(0.0, 40.0), (40.0, 40.0)] {
+            let diurnal = Scenario::new("diurnal", 0.1).stream(StreamSpec::new(
+                "s",
+                tiny_workload(),
+                ArrivalProcess::Diurnal {
+                    trough_fps,
+                    peak_fps,
+                    seed: 3,
+                },
+            ));
+            assert!(sim.simulate(&sched, &diurnal).is_ok());
+        }
     }
 
     #[test]
@@ -1767,21 +1854,112 @@ mod tests {
     #[test]
     fn shared_workloads_intern_one_graph_and_name() {
         // Two streams cloning one workload intern a single graph; the
-        // rebuilt (deep-equal) workload also dedupes via the fallback.
+        // rebuilt (deep-equal) workload also dedupes via the fallback,
+        // and so do swap targets: stream "d" swaps MobileNetV1 -> V2 ->
+        // V1, building one more graph however many swaps replay.
         let shared = tiny_workload();
+        let v2 = single_model(zoo::mobilenet_v2(), 1);
         let scenario = Scenario::new("intern", 0.05)
             .stream(StreamSpec::periodic("a", shared.clone(), 50.0))
-            .stream(StreamSpec::periodic("b", shared, 50.0))
-            .stream(StreamSpec::periodic("c", tiny_workload(), 50.0));
+            .stream(StreamSpec::periodic("b", shared.clone(), 50.0))
+            .stream(StreamSpec::periodic("c", tiny_workload(), 50.0))
+            .stream(
+                StreamSpec::periodic("d", shared, 50.0)
+                    .swap_at(0.01, v2)
+                    .swap_at(0.03, tiny_workload()),
+            );
         let cost = CostModel::default();
         let (report, profile) = StreamSimulator::new(&acc(), &cost)
             .simulate_profiled(&HeraldScheduler::default(), &scenario)
             .unwrap();
-        assert_eq!(profile.precomputed_graph_fingerprints, 1);
-        // Interning shares graphs, not schedules: each stream still
-        // compiled its own.
-        assert_eq!(report.scheduler_invocations(), 3);
+        assert_eq!(report.swaps().len(), 2);
+        assert_eq!(profile.precomputed_graph_fingerprints, 2);
+        // Each stream start and each swap still calls the scheduler, but
+        // equal schedules share their workload's one cost table.
+        assert_eq!(report.scheduler_invocations(), 6);
+        assert_eq!(profile.cost_tables_built, 2);
         assert_eq!(profile.mem.frame_bytes > 0, !report.frames().is_empty());
+    }
+
+    /// A scheduler that alternates between two legal schedules of one
+    /// graph — everything on sub-accelerator 0, then everything on 1 —
+    /// and records what it handed out, call by call.
+    struct AlternatingScheduler {
+        issued: std::cell::RefCell<Vec<crate::sched::Schedule>>,
+    }
+
+    impl Scheduler for AlternatingScheduler {
+        fn schedule(
+            &self,
+            graph: &TaskGraph,
+            acc: &AcceleratorConfig,
+            _cost: &CostModel,
+        ) -> Result<crate::sched::Schedule, HeraldError> {
+            let mut issued = self.issued.borrow_mut();
+            let way = issued.len() % 2;
+            let mut order = vec![Vec::new(); acc.sub_accelerators().len()];
+            order[way] = graph.ids().collect();
+            let schedule = crate::sched::Schedule::new(vec![way; graph.len()], order)
+                .map_err(HeraldError::Simulation)?;
+            issued.push(schedule.clone());
+            Ok(schedule)
+        }
+    }
+
+    #[test]
+    fn differing_schedules_of_one_workload_get_their_own_cost_tables() {
+        // Four streams share one workload; the scheduler hands them A, B,
+        // A, B at their first arrivals. The run interns A, so the third
+        // stream reuses A's table while both B compiles build their own.
+        let acc = AcceleratorConfig::maelstrom(
+            AcceleratorClass::Edge.resources(),
+            herald_arch::Partition::even(2, 1024, 16.0),
+        )
+        .unwrap();
+        let workload = tiny_workload();
+        let mut scenario = Scenario::new("alternating", 0.05);
+        for i in 0..4 {
+            scenario = scenario.stream(StreamSpec::periodic(
+                format!("s{i}"),
+                workload.clone(),
+                40.0,
+            ));
+        }
+        let cost = CostModel::default();
+        let scheduler = AlternatingScheduler {
+            issued: std::cell::RefCell::new(Vec::new()),
+        };
+        let (report, profile) = StreamSimulator::new(&acc, &cost)
+            .simulate_profiled(&scheduler, &scenario)
+            .unwrap();
+        let issued = scheduler.issued.into_inner();
+        assert_eq!(issued.len(), 4, "one compile per stream");
+        assert_ne!(issued[0], issued[1]);
+        assert_eq!(profile.cost_tables_built, 3);
+        // Every frame's energy is that of a one-shot replay of the
+        // schedule its stream received: a stream served another
+        // schedule's cost table would show the other sub-accelerator's
+        // energy.
+        let graph = TaskGraph::new(&workload);
+        let replay = crate::exec::ScheduleSimulator::new(&graph, &acc, &cost);
+        assert!(!report.frames().is_empty());
+        for frame in report.frames() {
+            let expected = replay.simulate(&issued[frame.stream]).unwrap();
+            assert_eq!(
+                frame.energy_j.to_bits(),
+                expected.energy().total_j().to_bits(),
+                "stream {} frame {}",
+                frame.stream,
+                frame.seq
+            );
+        }
+        let energies: Vec<f64> = (0..2)
+            .map(|s| replay.simulate(&issued[s]).unwrap().energy().total_j())
+            .collect();
+        assert_ne!(
+            energies[0], energies[1],
+            "the two schedules must differ in cost"
+        );
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!   in windows of 1 (the historical event-at-a-time walk), 7 (an
 //!   awkward prime), and the default 32 must produce identical reports
 //!   under both [`ReschedulePolicy`] variants.
+//! * **Interned cost tables == per-tenant compiles**: a fleet of tenants
+//!   sharing a few models builds one cost table per distinct workload
+//!   per chip, and its report matches the reschedule-every-arrival run.
 
 use herald::core::sched::IncrementalScheduler;
 use herald::core::sim::{StreamReport, StreamSimulator, DEFAULT_ADMISSION_BATCH};
@@ -142,5 +145,49 @@ fn batched_admission_is_bit_identical_to_per_event() {
                 "{label}: default batching diverged from per-event admission"
             );
         }
+    }
+}
+
+#[test]
+fn fleet_tenants_share_one_cost_table_per_workload_per_chip() {
+    // 500 diurnal tenants over the 5-model rotation on 2 chips: each
+    // chip compiles each workload once and every other tenant's first
+    // arrival is a memo hit served with the interned cost table.
+    let res = AcceleratorClass::Cloud.resources();
+    let chip =
+        AcceleratorConfig::maelstrom(res, Partition::even(2, res.pes, res.bandwidth_gbps)).unwrap();
+    let fleet = FleetConfig::homogeneous(&chip, 2);
+    let scenario = herald::workloads::diurnal_fleet_stream(500, 100.0, 200.0, 0.05, 4.0, 2026);
+    let run = |policy: ReschedulePolicy| {
+        FleetSimulator::new(&fleet)
+            .with_dispatcher(DispatchPolicy::LeastLoaded)
+            .with_policy(policy)
+            .simulate_profiled(&scenario)
+            .unwrap()
+    };
+    let (incremental, profile) = run(ReschedulePolicy::Incremental);
+    assert_eq!(profile.schedule_compiles, 10, "5 workloads x 2 chips");
+    assert_eq!(profile.cost_tables_built, profile.schedule_compiles);
+    assert!(profile.schedule_cache_hits > profile.schedule_compiles);
+
+    // Rescheduling at every arrival calls the scheduler per frame, yet
+    // still builds one table per workload per chip — and replays the
+    // same simulation to the bit.
+    let (full, full_profile) = run(ReschedulePolicy::FullReschedule);
+    assert_eq!(
+        full_profile.schedule_compiles as usize,
+        incremental.frames_total()
+    );
+    assert_eq!(full_profile.cost_tables_built, 10);
+    assert_eq!(incremental.assignments(), full.assignments());
+    assert_eq!(incremental.dropped(), full.dropped());
+    assert_eq!(incremental.chips(), full.chips());
+    for (chip, (a, b)) in incremental
+        .per_chip()
+        .iter()
+        .zip(full.per_chip())
+        .enumerate()
+    {
+        assert_same_simulation(a, b, &format!("chip {chip}"));
     }
 }
