@@ -12,13 +12,21 @@
 //! commits happen in non-decreasing start order: the loop *is* the event
 //! queue, with layer completions as events and the last committed start
 //! as the virtual clock.
+//!
+//! The global-buffer constraint needs no interval history. Each
+//! sub-accelerator (a *way*) runs its tasks back to back, and no commit
+//! starts before the clock, so every interval but the last one on each
+//! way has finished by the clock. At or after the clock the buffer
+//! therefore holds exactly the last interval of each way that has not
+//! yet finished: [`occupancy_after`] and [`memory_floor`] answer in
+//! O(ways) what [`earliest_memory_feasible`] answers over the full
+//! interval list. Debug builds keep that list as the oracle for the
+//! asserts.
 
 use crate::exec::{AccSummary, ExecutionReport, Schedule, ScheduleEntry, SimError};
 use crate::task::{TaskGraph, TaskId};
 use herald_arch::AcceleratorConfig;
 use herald_cost::{CostModel, EnergyBreakdown, LayerCost, Metric};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// The fraction of the global buffer available for staging one layer's
@@ -130,42 +138,39 @@ pub(crate) struct EventCore<'a> {
     acc: &'a AcceleratorConfig,
     cost: &'a CostModel,
     metric: Metric,
+    /// Per way: finish of the last task committed on it (0 before any).
+    /// It is both the time the way's queue frees up and the end of the
+    /// way's only interval that can still hold buffer space at or after
+    /// `clock`.
     acc_free: Vec<f64>,
-    /// Committed intervals: (start, finish, occupancy_bytes).
+    /// Per way: buffer occupancy of the last task committed on it (0
+    /// before any), held until `acc_free` of that way.
+    way_occ: Vec<u64>,
+    /// Start of the last commit: the virtual clock. No later commit
+    /// starts before it, and no frame arrives before it.
+    clock: f64,
+    /// Debug builds only: every committed interval `(start, finish,
+    /// occupancy_bytes)` that a future query could still see. The
+    /// asserts replay each selection through [`earliest_memory_feasible`]
+    /// over this list and check the O(ways) answer against it.
+    #[cfg(debug_assertions)]
     intervals: Vec<(f64, f64, u64)>,
-    /// Sum of `occupancy_bytes` over `intervals` — an upper bound on the
-    /// buffer occupancy at *any* instant. While `bound + candidate_occ`
-    /// fits the buffer, every feasibility query trivially returns its
-    /// ready time, so the candidate scan skips the O(intervals) walk
-    /// (bit-identical: the walk's first probe would succeed).
-    live_occ_bound: u64,
     /// Memoized [`EventCore::select_best`] result: `None` when stale,
     /// `Some(result)` when no admit or commit has happened since it was
-    /// computed. Harvesting a completed frame and pruning intervals both
-    /// preserve the winner (a done frame offers no candidates; pruned
-    /// intervals end at or before every candidate's ready time), so
-    /// `run_until`'s stopping scan doubles as the batched-admission
-    /// window probe for free.
+    /// computed. Harvesting a completed frame preserves the winner (a
+    /// done frame offers no candidates), so `run_until`'s stopping scan
+    /// doubles as the batched-admission window probe for free.
     best_cache: Option<Option<(f64, usize, usize, TaskId)>>,
-    /// Pending finish events `(finish_bits, occupancy_bytes)` of
-    /// committed intervals, min-ordered on finish time (stored as
-    /// `f64::to_bits`, which orders like the non-negative times it
-    /// encodes). Because commits happen in non-decreasing start order,
-    /// draining events at or before each commit's start keeps
-    /// `current_occ` equal to `occupancy_at(start)` without rescanning
-    /// the interval list.
-    mem_events: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Occupancy at the last committed start (see `mem_events`).
-    current_occ: u64,
     /// Per-frame best candidate `(ready, way, task)` ranked by *ready*
     /// time (first way wins ties), parallel to `frames`. Outer `None` =
     /// stale, `Some(None)` = every queue head blocked. Ready times never
-    /// depend on memory intervals, so an entry only goes stale when its
+    /// depend on buffer occupancy, so an entry only goes stale when its
     /// own frame commits (heads/deps change) or any frame commits on the
     /// entry's way (`acc_free` moves); other commits leave it exact.
     frame_best: Vec<Option<Option<(f64, usize, TaskId)>>>,
     /// Max single-task occupancy over every admission so far (monotone,
-    /// conservative). While `live_occ_bound + occ_cap` fits the buffer,
+    /// conservative). When the tournament winner's ready time `r` is at
+    /// or after `clock` and `occupancy(r) + occ_cap` fits the buffer,
     /// every candidate's feasible start equals its ready time, so
     /// ready-ranking equals start-ranking and the tournament over
     /// `frame_best` reproduces the flat scan exactly.
@@ -210,16 +215,17 @@ impl<'a> EventCore<'a> {
                 energy_j: 0.0,
             })
             .collect();
+        let ways = acc.sub_accelerators().len();
         Self {
             acc,
             cost,
             metric,
-            acc_free: vec![0.0; acc.sub_accelerators().len()],
+            acc_free: vec![0.0; ways],
+            way_occ: vec![0; ways],
+            clock: 0.0,
+            #[cfg(debug_assertions)]
             intervals: Vec::new(),
-            live_occ_bound: 0,
             best_cache: None,
-            mem_events: BinaryHeap::new(),
-            current_occ: 0,
             frame_best: Vec::new(),
             occ_cap: 0,
             frames: Vec::new(),
@@ -282,6 +288,11 @@ impl<'a> EventCore<'a> {
             }
             (g.len(), s.ways())
         };
+        debug_assert!(
+            arrival_s >= self.clock,
+            "frame arrives at {arrival_s}, before the clock {}",
+            self.clock
+        );
         let head = match self.head_pool.pop() {
             Some(mut h) => {
                 self.arena_reuses += 1;
@@ -398,17 +409,35 @@ impl<'a> EventCore<'a> {
     /// the loop deterministic and, for a single frame, byte-identical to
     /// the historical replay order).
     ///
-    /// When `live_occ_bound + occ_cap` fits the global buffer, every
-    /// candidate's feasible start *is* its ready time, so the winner of a
-    /// tournament over the per-frame `frame_best` memos (ranked by ready)
-    /// is the flat scan's winner — including ties, because both resolve
-    /// them first-found in (admission order, way order). Only the frames
-    /// invalidated by the last commit are rescanned. Under memory
-    /// pressure the exact flat scan runs instead.
+    /// A tournament over the per-frame `frame_best` memos (ranked by
+    /// ready) runs first; only the frames invalidated by the last commit
+    /// are rescanned. Let `r` be its winner's ready time. Every other
+    /// candidate is ready at or after `r`, and occupancy only falls after
+    /// the clock, so when `r` is at or after the clock and
+    /// `occupancy(r) + occ_cap` fits the buffer, every candidate's
+    /// feasible start *is* its ready time. The tournament winner is then
+    /// the flat scan's winner, ties included: both resolve them
+    /// first-found in (admission order, way order). Otherwise the exact
+    /// flat scan runs.
     fn select_best(&mut self) -> Option<(f64, usize, usize, TaskId)> {
-        if self.live_occ_bound + self.occ_cap > self.acc.global_buffer_bytes() {
-            return self.select_best_scan();
-        }
+        let best = match self.tournament() {
+            Some((r, ..))
+                if r < self.clock
+                    || occupancy_after(r, &self.acc_free, &self.way_occ) + self.occ_cap
+                        > self.acc.global_buffer_bytes() =>
+            {
+                self.select_best_scan()
+            }
+            best => best,
+        };
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(best, self.select_best_reference());
+        best
+    }
+
+    /// The earliest-ready queue head over every frame, through the
+    /// `frame_best` memos.
+    fn tournament(&mut self) -> Option<(f64, usize, usize, TaskId)> {
         let mut best: Option<(f64, usize, usize, TaskId)> = None;
         for idx in 0..self.active.len() {
             let fi = self.active[idx];
@@ -426,7 +455,6 @@ impl<'a> EventCore<'a> {
                 _ => best = Some((ready, fi, a, t)),
             }
         }
-        debug_assert_eq!(best, self.select_best_scan());
         best
     }
 
@@ -461,11 +489,43 @@ impl<'a> EventCore<'a> {
         best
     }
 
-    /// The exact flat candidate scan (reference path, and the fallback
-    /// under memory pressure). Costs come from each frame's precomputed
-    /// table — the scan clones nothing.
+    /// The exact flat candidate scan, the fallback under memory pressure:
+    /// each candidate starts at `max(ready, memory_floor(occ))`.
     fn select_best_scan(&self) -> Option<(f64, usize, usize, TaskId)> {
         let gb = self.acc.global_buffer_bytes();
+        self.scan(|ready, occ| {
+            ready.max(memory_floor(
+                self.clock,
+                occ,
+                gb,
+                &self.acc_free,
+                &self.way_occ,
+            ))
+        })
+    }
+
+    /// The flat scan under the full-interval semantics: each candidate
+    /// starts at [`earliest_memory_feasible`] over the debug interval
+    /// log. While the whole log plus the candidate fits the buffer, that
+    /// query's first probe succeeds, so it is skipped.
+    #[cfg(debug_assertions)]
+    fn select_best_reference(&self) -> Option<(f64, usize, usize, TaskId)> {
+        let gb = self.acc.global_buffer_bytes();
+        let logged: u64 = self.intervals.iter().map(|(_, _, o)| o).sum();
+        self.scan(|ready, occ| {
+            if logged + occ <= gb {
+                ready
+            } else {
+                earliest_memory_feasible(ready, occ, gb, &self.intervals)
+            }
+        })
+    }
+
+    /// The ready queue head with the earliest start, where `start_at`
+    /// maps a candidate's `(ready, occupancy_bytes)` to its start. Costs
+    /// come from each frame's precomputed table — the scan clones
+    /// nothing.
+    fn scan(&self, start_at: impl Fn(f64, u64) -> f64) -> Option<(f64, usize, usize, TaskId)> {
         let staging_cap = self.staging_cap();
         let mut best: Option<(f64, usize, usize, TaskId)> = None;
         for &fi in &self.active {
@@ -507,18 +567,26 @@ impl<'a> EventCore<'a> {
                         continue;
                     }
                 }
-                let occ = costs[t.0].buffer.occupancy_bytes(staging_cap);
-                let start = if self.live_occ_bound + occ <= gb {
-                    ready
-                } else {
-                    earliest_memory_feasible(ready, occ, gb, &self.intervals)
-                };
+                let start = start_at(ready, costs[t.0].buffer.occupancy_bytes(staging_cap));
                 match &best {
                     Some((s, _, _, _)) if *s <= start => {}
                     _ => best = Some((start, fi, a, t)),
                 }
             }
         }
+        best
+    }
+
+    /// [`EventCore::select_best`] through the memo: reuses the last scan
+    /// when nothing that can change its outcome happened since.
+    fn cached_select_best(&mut self) -> Option<(f64, usize, usize, TaskId)> {
+        if let Some(cached) = self.best_cache {
+            #[cfg(debug_assertions)]
+            debug_assert_eq!(cached, self.select_best_reference());
+            return cached;
+        }
+        let best = self.select_best();
+        self.best_cache = Some(best);
         best
     }
 
@@ -532,18 +600,6 @@ impl<'a> EventCore<'a> {
     /// queue head waits on a task queued behind another blocked head.
     /// Dependences never cross frames, so pending arrivals cannot resolve
     /// the cycle and the error is definitive.
-    /// [`EventCore::select_best`] through the memo: reuses the last scan
-    /// when nothing that can change its outcome happened since.
-    fn cached_select_best(&mut self) -> Option<(f64, usize, usize, TaskId)> {
-        if let Some(cached) = self.best_cache {
-            debug_assert_eq!(cached, self.select_best_scan());
-            return cached;
-        }
-        let best = self.select_best();
-        self.best_cache = Some(best);
-        best
-    }
-
     pub(crate) fn run_until(&mut self, limit: f64) -> Result<(), SimError> {
         while self.total_remaining() > 0 {
             let Some((start, fi, a, t)) = self.cached_select_best() else {
@@ -602,27 +658,23 @@ impl<'a> EventCore<'a> {
             )
         };
         let fin = start + dur;
-        self.intervals.push((start, fin, occ));
-        self.live_occ_bound += occ;
-        // Incremental occupancy sweep: retire intervals finishing at or
-        // before this start (half-open semantics: an interval is free at
-        // its finish instant), then account the new one.
-        while let Some(&Reverse((fb, o))) = self.mem_events.peek() {
-            if f64::from_bits(fb) <= start {
-                self.current_occ -= o;
-                self.mem_events.pop();
-            } else {
-                break;
-            }
+        debug_assert!(start >= self.clock, "commit at {start} before the clock");
+        // Way `a`'s previous interval ends at `acc_free[a] <= start`, so
+        // the sum counts the other ways' intervals still running at
+        // `start` (half-open: an interval is free at its finish instant);
+        // the new one is then held from `start`.
+        let occ_at_start = occupancy_after(start, &self.acc_free, &self.way_occ) + occ;
+        #[cfg(debug_assertions)]
+        {
+            self.intervals.push((start, fin, occ));
+            debug_assert_eq!(occ_at_start, occupancy_at(start, &self.intervals));
         }
-        self.current_occ += occ;
-        self.mem_events.push(Reverse((fin.to_bits(), occ)));
-        // Pruned intervals may linger in the heap, but prune's cut never
-        // exceeds a future commit start, so they are always swept before
-        // the occupancy is read — the sweep matches the full scan.
-        debug_assert_eq!(self.current_occ, occupancy_at(start, &self.intervals));
-        self.peak_mem = self.peak_mem.max(self.current_occ);
+        self.peak_mem = self.peak_mem.max(occ_at_start);
+        self.clock = start;
         self.acc_free[a] = fin;
+        self.way_occ[a] = occ;
+        #[cfg(debug_assertions)]
+        self.prune_log();
 
         let frame = self.frames[fi]
             .as_mut()
@@ -646,6 +698,26 @@ impl<'a> EventCore<'a> {
         self.per_acc[a].finish_s = fin;
         self.per_acc[a].energy_j += energy.total_j();
         self.energy = self.energy.plus(&energy);
+    }
+
+    /// Debug builds: drops logged intervals that no future query can
+    /// see. A query is made at or after a candidate's ready time, which
+    /// is at or after its way's `acc_free` (so the smallest one) and its
+    /// frame's arrival (so the earliest incomplete arrival, or the clock
+    /// for frames still to come). Each bound is a floor on every future
+    /// query, so intervals finishing by the larger one are dead.
+    #[cfg(debug_assertions)]
+    fn prune_log(&mut self) {
+        let by_way = self.acc_free.iter().copied().fold(f64::INFINITY, f64::min);
+        let by_arrival = self
+            .active
+            .iter()
+            .filter_map(|&fi| self.frames[fi].as_ref())
+            .filter(|f| f.remaining > 0)
+            .map(|f| f.arrival_s)
+            .fold(self.clock, f64::min);
+        let cut = by_way.max(by_arrival);
+        self.intervals.retain(|(_, f, _)| *f > cut);
     }
 
     /// The start time of the next pending commit, if any — the batched
@@ -693,27 +765,6 @@ impl<'a> EventCore<'a> {
         }
     }
 
-    /// Drops committed memory intervals that can no longer influence any
-    /// future feasibility query. Every candidate's probed start is at
-    /// least its frame's arrival, and every frame the caller will still
-    /// admit arrives at or after `now` (the caller's current event
-    /// time), so intervals finishing at or before
-    /// `min(now, earliest incomplete arrival)` are dead weight — pruning
-    /// them is exact, not an approximation. `now` also keeps intervals
-    /// of still-*running* layers alive when every admitted frame happens
-    /// to be fully committed.
-    pub(crate) fn prune_intervals(&mut self, now: f64) {
-        let cut = self
-            .active
-            .iter()
-            .filter_map(|&fi| self.frames[fi].as_ref())
-            .filter(|f| f.remaining > 0)
-            .map(|f| f.arrival_s)
-            .fold(now, f64::min);
-        self.intervals.retain(|(_, f, _)| *f > cut);
-        self.live_occ_bound = self.intervals.iter().map(|(_, _, o)| o).sum();
-    }
-
     /// Global-buffer peak occupancy observed so far, bytes.
     pub(crate) fn peak_memory_bytes(&self) -> u64 {
         self.peak_mem
@@ -756,6 +807,43 @@ pub(crate) fn occupancy_at(t: f64, intervals: &[(f64, f64, u64)]) -> u64 {
         .filter(|(s, f, _)| *s <= t && t < *f)
         .map(|(_, _, occ)| occ)
         .sum()
+}
+
+/// Occupancy of the global buffer at a time `t` at or after the clock,
+/// from each way's last interval (`acc_free[a]` its finish, `way_occ[a]`
+/// its bytes); every earlier interval has finished by the clock.
+fn occupancy_after(t: f64, acc_free: &[f64], way_occ: &[u64]) -> u64 {
+    acc_free
+        .iter()
+        .zip(way_occ)
+        .filter(|(fin, _)| **fin > t)
+        .map(|(_, occ)| occ)
+        .sum()
+}
+
+/// The earliest time at or after `clock` at which `occ` extra bytes fit
+/// under `gb`, from each way's last interval as in [`occupancy_after`].
+/// When `occ` never fits it is the last finish after `clock` (or `clock`
+/// itself), where [`earliest_memory_feasible`] runs out of finish events
+/// and admits at once. Occupancy only falls after the clock, so for any
+/// `ready` at or after it, `max(ready, memory_floor(..))` equals
+/// `earliest_memory_feasible(ready, ..)` over the full interval list.
+fn memory_floor(clock: f64, occ: u64, gb: u64, acc_free: &[f64], way_occ: &[u64]) -> f64 {
+    let mut t = clock;
+    loop {
+        let mut used = 0;
+        let mut next = f64::INFINITY;
+        for (&fin, &o) in acc_free.iter().zip(way_occ) {
+            if fin > t {
+                used += o;
+                next = next.min(fin);
+            }
+        }
+        if used + occ <= gb || next.is_infinite() {
+            return t;
+        }
+        t = next;
+    }
 }
 
 /// The earliest time `>= ready` at which `occ` extra bytes fit under the
@@ -888,11 +976,10 @@ mod tests {
     }
 
     #[test]
-    fn pruning_keeps_running_intervals_when_all_frames_committed() {
+    fn running_layers_hold_memory_after_all_frames_committed() {
         // Regression: a fully *committed* frame can still have layers
-        // executing past the caller's current time; their memory
-        // intervals must survive pruning so a later-admitted frame sees
-        // the occupancy.
+        // executing past the clock; a later-admitted frame must still
+        // see their occupancy.
         use crate::exec::Schedule;
         use crate::task::TaskGraph;
         use herald_arch::{AcceleratorClass, AcceleratorConfig};
@@ -913,26 +1000,100 @@ mod tests {
         )
         .unwrap();
         core.run_until(f64::INFINITY).unwrap();
-        let n = core.intervals.len();
-        assert!(n > 0);
-        let last_finish = core
-            .intervals
+        // The full timeline, rebuilt from the frame's entries.
+        let costs = build_cost_table(&graph, &schedule, &acc, &cost, Metric::Edp);
+        let staging_cap = core.staging_cap();
+        let timeline: Vec<(f64, f64, u64)> = core.frames[0]
+            .as_ref()
+            .unwrap()
+            .entries
             .iter()
-            .map(|(_, f, _)| *f)
-            .fold(0.0, f64::max);
-        // All frames are committed, but at `now` before the last finish
-        // those intervals are still live: they must be retained.
-        core.prune_intervals(last_finish / 2.0);
-        assert!(
-            core.intervals
-                .iter()
-                .all(|(_, f, _)| *f > last_finish / 2.0),
-            "only dead intervals pruned"
+            .map(|e| {
+                let occ = costs[e.task.0].buffer.occupancy_bytes(staging_cap);
+                (e.start_s, e.finish_s, occ)
+            })
+            .collect();
+        let (last_start, last_finish, last_occ) = *timeline.last().unwrap();
+        assert_eq!(core.clock, last_start);
+        assert!(last_finish > last_start && last_occ > 0);
+        // The last layer still runs at the clock and up to its finish.
+        for t in [last_start, (last_start + last_finish) / 2.0, last_finish] {
+            assert_eq!(
+                occupancy_after(t, &core.acc_free, &core.way_occ),
+                occupancy_at(t, &timeline)
+            );
+        }
+        assert_eq!(
+            occupancy_after(last_start, &core.acc_free, &core.way_occ),
+            last_occ
         );
-        assert!(!core.intervals.is_empty());
-        // Past the last finish everything is prunable.
-        core.prune_intervals(last_finish + 1.0);
-        assert!(core.intervals.is_empty());
+        // A layer that fits only beside an empty buffer waits for it.
+        let gb = acc.global_buffer_bytes();
+        let occ = gb - last_occ + 1;
+        assert_eq!(
+            memory_floor(core.clock, occ, gb, &core.acc_free, &core.way_occ),
+            last_finish
+        );
+        assert_eq!(
+            earliest_memory_feasible(core.clock, occ, gb, &timeline),
+            last_finish
+        );
+    }
+
+    #[test]
+    fn memory_floor_matches_full_interval_semantics() {
+        // Independent oracle: random back-to-back runs per way, every
+        // start at or before the clock, queried at or after the clock.
+        // Times sit on a half-unit grid so finishes tie with the clock,
+        // with each other and with starts.
+        let mut rng = SplitMix64::seed_from_u64(0xF100_2026);
+        let gb: u64 = 1 << 12;
+        let (mut ties_at_clock, mut zero_length, mut equal_finishes, mut never_fits) = (0, 0, 0, 0);
+        for _ in 0..2000 {
+            let ways = rng.gen_range(1, 5);
+            let clock = rng.gen_range(0, 24) as f64 / 2.0;
+            let mut intervals = Vec::new();
+            let mut acc_free = vec![0.0; ways];
+            let mut way_occ = vec![0; ways];
+            for a in 0..ways {
+                for _ in 0..rng.gen_range(0, 5) {
+                    if acc_free[a] > clock {
+                        break;
+                    }
+                    let start = if rng.gen_range(0, 3) == 0 {
+                        clock
+                    } else {
+                        (acc_free[a] + rng.gen_range(0, 4) as f64 / 2.0).min(clock)
+                    };
+                    let fin = start + rng.gen_range(0, 8) as f64 / 2.0;
+                    let occ = rng.gen_range(0, gb as usize / 2) as u64;
+                    zero_length += usize::from(fin == start);
+                    ties_at_clock += usize::from(start == clock || fin == clock);
+                    intervals.push((start, fin, occ));
+                    acc_free[a] = fin;
+                    way_occ[a] = occ;
+                }
+            }
+            equal_finishes += usize::from(
+                (0..ways)
+                    .any(|a| (0..a).any(|b| acc_free[a] == acc_free[b] && acc_free[a] > clock)),
+            );
+            for _ in 0..8 {
+                let ready = clock + rng.gen_range(0, 12) as f64 / 2.0;
+                let occ = rng.gen_range(0, gb as usize * 5 / 4) as u64;
+                never_fits += usize::from(occ > gb);
+                assert_eq!(
+                    occupancy_after(ready, &acc_free, &way_occ),
+                    occupancy_at(ready, &intervals)
+                );
+                assert_eq!(
+                    ready.max(memory_floor(clock, occ, gb, &acc_free, &way_occ)),
+                    earliest_memory_feasible(ready, occ, gb, &intervals),
+                    "clock {clock}, ready {ready}, occ {occ}, intervals {intervals:?}"
+                );
+            }
+        }
+        assert!(ties_at_clock > 0 && zero_length > 0 && equal_finishes > 0 && never_fits > 0);
     }
 
     #[test]

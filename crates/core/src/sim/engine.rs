@@ -990,7 +990,6 @@ impl<'a> StreamSimulator<'a> {
                 &mut makespan,
                 &mut injected,
             );
-            core.prune_intervals(window_t);
             if let Some(t0) = t0 {
                 profile.harvest_ns += t0.elapsed().as_nanos() as u64;
             }

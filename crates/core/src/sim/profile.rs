@@ -125,8 +125,8 @@ pub struct HotPathProfile {
     /// Wall-clock nanoseconds in the core's commit loop (zero unless
     /// profiled).
     pub run_ns: u64,
-    /// Wall-clock nanoseconds harvesting finished frames and pruning
-    /// memory intervals (zero unless profiled).
+    /// Wall-clock nanoseconds harvesting finished frames (zero unless
+    /// profiled).
     pub harvest_ns: u64,
     /// Byte accounting of the run's retained O(frames) structures.
     pub mem: MemProfile,

@@ -34,7 +34,9 @@ pub const TRANSFORMER_HIDDEN: u32 = 1024;
 pub const TRANSFORMER_BLOCKS: usize = 4;
 
 /// One autoregressive decode step of a decoder-only transformer with a
-/// KV cache of `kv_len` past tokens (see the [module docs](self)).
+/// KV cache of `kv_len` past tokens: per block, the `qkv`, `score`,
+/// `context`, `out`, `ffn_up` and `ffn_down` GEMMs of one token, where
+/// only `score` and `context` grow with `kv_len`.
 ///
 /// # Panics
 ///

@@ -175,11 +175,27 @@ fn report_accounting_is_consistent() {
     }
 }
 
+/// Evenly split 2-way edge Maelstroms with a 16 KiB and a 32 KiB global
+/// buffer: every single layer still fits, but concurrent layers contend
+/// for the buffer, so commits are decided by the event core's exact
+/// memory-aware scan, not only by ready times.
+fn tight_buffer_chips() -> Vec<AcceleratorConfig> {
+    let edge = AcceleratorClass::Edge.resources();
+    [16 << 10, 32 << 10]
+        .into_iter()
+        .map(|gb| {
+            let res = HardwareResources::new(edge.pes, edge.bandwidth_gbps, gb);
+            AcceleratorConfig::maelstrom(res, Partition::even(2, res.pes, res.bandwidth_gbps))
+                .expect("even partition")
+        })
+        .collect()
+}
+
 /// Streaming scenarios obey the same hard invariants across frames: no
 /// sub-accelerator ever runs two layers at once (checked on the global
 /// busy-span timeline), memory stays within the global buffer, every
 /// frame's latency is non-negative, and the whole simulation is
-/// deterministic.
+/// deterministic. Each scenario also runs on memory-tight chips.
 #[test]
 fn streaming_scenarios_are_legal_and_deterministic() {
     let mut rng = SplitMix64::seed_from_u64(0x5EED_0005);
@@ -203,37 +219,40 @@ fn streaming_scenarios_are_legal_and_deterministic() {
             }
             scenario = scenario.stream(spec);
         }
-        let run = || {
-            Experiment::new(scenario.design_workload())
-                .on_accelerator(acc.clone())
-                .scenario(&scenario)
-                .expect("streaming succeeds")
-        };
-        let outcome = run();
-        let report = outcome.report();
-        assert!(!report.frames().is_empty(), "case {case}");
-        assert!(report.peak_memory_bytes() <= acc.global_buffer_bytes());
-        for f in report.frames() {
-            assert!(f.latency_s >= 0.0);
-            assert!(f.finish_s >= f.arrival_s);
-        }
-        // Per-accelerator busy spans never overlap, across all frames.
-        let ways = report.per_acc().len();
-        for a in 0..ways {
-            let mut spans: Vec<(f64, f64)> = report
-                .busy_spans()
-                .iter()
-                .filter(|s| s.acc == a)
-                .map(|s| (s.start_s, s.finish_s))
-                .collect();
-            spans.sort_by(|x, y| x.0.total_cmp(&y.0));
-            for pair in spans.windows(2) {
-                assert!(
-                    pair[1].0 >= pair[0].1 - 1e-9,
-                    "case {case}: overlap on acc{a}"
-                );
+        for acc in std::iter::once(acc).chain(tight_buffer_chips()) {
+            let gb = acc.global_buffer_bytes();
+            let run = || {
+                Experiment::new(scenario.design_workload())
+                    .on_accelerator(acc.clone())
+                    .scenario(&scenario)
+                    .expect("streaming succeeds")
+            };
+            let outcome = run();
+            let report = outcome.report();
+            assert!(!report.frames().is_empty(), "case {case}, {gb} B");
+            assert!(report.peak_memory_bytes() <= gb, "case {case}, {gb} B");
+            for f in report.frames() {
+                assert!(f.latency_s >= 0.0);
+                assert!(f.finish_s >= f.arrival_s);
             }
+            // Per-accelerator busy spans never overlap, across all frames.
+            let ways = report.per_acc().len();
+            for a in 0..ways {
+                let mut spans: Vec<(f64, f64)> = report
+                    .busy_spans()
+                    .iter()
+                    .filter(|s| s.acc == a)
+                    .map(|s| (s.start_s, s.finish_s))
+                    .collect();
+                spans.sort_by(|x, y| x.0.total_cmp(&y.0));
+                for pair in spans.windows(2) {
+                    assert!(
+                        pair[1].0 >= pair[0].1 - 1e-9,
+                        "case {case}, {gb} B: overlap on acc{a}"
+                    );
+                }
+            }
+            assert_eq!(outcome, run(), "case {case}, {gb} B: nondeterministic");
         }
-        assert_eq!(outcome, run(), "case {case}: nondeterministic");
     }
 }
