@@ -22,11 +22,17 @@
 //! O(ways) what [`earliest_memory_feasible`] answers over the full
 //! interval list. Debug builds keep that list as the oracle for the
 //! asserts.
+//!
+//! The same commit order makes the busy-span timeline an append: a core
+//! that keeps spans ([`EventCore::keep_spans`]) records each commit's
+//! span in (start, way) order as it happens, with no sort afterwards.
 
+use super::report::BusySpan;
 use crate::exec::{AccSummary, ExecutionReport, Schedule, ScheduleEntry, SimError};
 use crate::task::{TaskGraph, TaskId};
 use herald_arch::AcceleratorConfig;
 use herald_cost::{CostModel, EnergyBreakdown, LayerCost, Metric};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// The fraction of the global buffer available for staging one layer's
@@ -200,6 +206,9 @@ pub(crate) struct EventCore<'a> {
     per_acc: Vec<AccSummary>,
     energy: EnergyBreakdown,
     peak_mem: u64,
+    /// Every committed task's busy span in (start, way) order, or `None`
+    /// when the run keeps no spans (one-shot replay, sketch reports).
+    spans: Option<Vec<BusySpan>>,
 }
 
 impl<'a> EventCore<'a> {
@@ -240,7 +249,20 @@ impl<'a> EventCore<'a> {
             per_acc,
             energy: EnergyBreakdown::default(),
             peak_mem: 0,
+            spans: None,
         }
+    }
+
+    /// Records every later commit's busy span; [`EventCore::take_spans`]
+    /// hands the list over in (start, way) order.
+    pub(crate) fn keep_spans(&mut self) {
+        self.spans = Some(Vec::new());
+    }
+
+    /// The recorded busy spans in (start, way) order, empty when the core
+    /// keeps none.
+    pub(crate) fn take_spans(&mut self) -> Vec<BusySpan> {
+        self.spans.take().unwrap_or_default()
     }
 
     /// Staging cap per layer: the global-buffer share one layer may pin.
@@ -698,6 +720,16 @@ impl<'a> EventCore<'a> {
         self.per_acc[a].finish_s = fin;
         self.per_acc[a].energy_j += energy.total_j();
         self.energy = self.energy.plus(&energy);
+        if let Some(spans) = &mut self.spans {
+            push_span(
+                spans,
+                BusySpan {
+                    acc: a,
+                    start_s: start,
+                    finish_s: fin,
+                },
+            );
+        }
     }
 
     /// Debug builds: drops logged intervals that no future query can
@@ -798,6 +830,28 @@ impl<'a> EventCore<'a> {
             self.peak_mem,
         )
     }
+}
+
+/// Appends `span` to a list in (start by [`f64::total_cmp`], way) order.
+/// Commits start in non-decreasing order, so only spans that share the
+/// new span's start can sort after it, and the insertion step stops at
+/// the first earlier start. Every layer lasts at least the cost model's
+/// fixed per-layer overhead and each way runs its tasks back to back, so
+/// a group of equal starts holds at most one span per way: the step
+/// moves a span past fewer than `ways` others, and no two spans share a
+/// key.
+fn push_span(spans: &mut Vec<BusySpan>, span: BusySpan) {
+    spans.push(span);
+    let mut i = spans.len() - 1;
+    while i > 0 && span_order(&spans[i - 1], &spans[i]).is_gt() {
+        spans.swap(i - 1, i);
+        i -= 1;
+    }
+}
+
+/// The (start by [`f64::total_cmp`], way) order of the busy-span list.
+fn span_order(x: &BusySpan, y: &BusySpan) -> Ordering {
+    x.start_s.total_cmp(&y.start_s).then(x.acc.cmp(&y.acc))
 }
 
 /// Occupancy of the global buffer at time `t` given committed intervals.

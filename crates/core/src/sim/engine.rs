@@ -539,14 +539,15 @@ struct PendingFrame {
 }
 
 /// Mode-dispatched frame accumulation: exact mode retains every record
-/// and busy span; sketch mode folds each completion into the quantile
-/// sketch, its stream's [`StreamAgg`], and the fixed arrival/utilization
-/// windows, keeping only sampled exemplar records.
+/// (its busy spans are recorded by the core at commit, already in
+/// (start, way) order); sketch mode folds each completion, spans
+/// included, into the quantile sketch, its stream's [`StreamAgg`], and
+/// the fixed arrival/utilization windows, keeping only sampled exemplar
+/// records.
 struct Collector {
     mode: ReportMode,
     completed: u64,
     frames: Vec<FrameRecord>,
-    busy_spans: Vec<BusySpan>,
     sketch: QuantileSketch,
     aggs: Vec<StreamAgg>,
     window_s: f64,
@@ -574,7 +575,6 @@ impl Collector {
             mode,
             completed: 0,
             frames: Vec::new(),
-            busy_spans: Vec::new(),
             sketch,
             aggs,
             window_s,
@@ -611,12 +611,6 @@ impl Collector {
         };
         if self.mode.is_exact() {
             record(&mut self.frames);
-            self.busy_spans
-                .extend(spans.map(|(acc, start_s, finish_s)| BusySpan {
-                    acc,
-                    start_s,
-                    finish_s,
-                }));
             return;
         }
         self.sketch.insert(latency_s);
@@ -857,6 +851,9 @@ impl<'a> StreamSimulator<'a> {
         }
 
         let mut core = EventCore::new(self.acc, self.cost, self.metric);
+        if self.report.is_exact() {
+            core.keep_spans();
+        }
         let mut pending: Vec<PendingFrame> = Vec::new();
         let ways = core.per_acc().len();
         let mut col = Collector::new(self.report, specs.len(), ways, horizon_s);
@@ -1173,8 +1170,7 @@ impl<'a> StreamSimulator<'a> {
                 .then(a.stream.cmp(&b.stream))
                 .then(a.seq.cmp(&b.seq))
         });
-        col.busy_spans
-            .sort_by(|a, b| a.start_s.total_cmp(&b.start_s).then(a.acc.cmp(&b.acc)));
+        let busy_spans = core.take_spans();
 
         let stats_after = stats.snapshot();
         profile.events = events_processed as u64;
@@ -1190,8 +1186,7 @@ impl<'a> StreamSimulator<'a> {
         profile.arena_allocs = arena_allocs;
         profile.mem.frame_bytes =
             (col.frames.capacity() * std::mem::size_of::<FrameRecord>()) as u64;
-        profile.mem.span_bytes =
-            (col.busy_spans.capacity() * std::mem::size_of::<BusySpan>()) as u64;
+        profile.mem.span_bytes = (busy_spans.capacity() * std::mem::size_of::<BusySpan>()) as u64;
         if !self.report.is_exact() {
             profile.mem.sketch_bytes = col.sketch.memory_bytes();
             profile.mem.agg_bytes = (col.aggs.capacity() * std::mem::size_of::<StreamAgg>()
@@ -1214,7 +1209,7 @@ impl<'a> StreamSimulator<'a> {
             schedule_cache_hits,
             stats.placement_evals() - placement_before,
             events_processed,
-            col.busy_spans,
+            busy_spans,
         );
         if !self.report.is_exact() {
             report.set_streaming(

@@ -636,9 +636,11 @@ impl StreamReport {
         self.peak_memory_bytes
     }
 
-    /// Raw per-sub-accelerator busy intervals across all frames, sorted
-    /// by start time (the material behind
-    /// [`StreamReport::utilization_timeline`]).
+    /// Raw per-sub-accelerator busy intervals across all frames, in
+    /// (start, sub-accelerator) order: the event core records each one
+    /// when it commits the layer, and layers commit in non-decreasing
+    /// start order (the material behind
+    /// [`StreamReport::utilization_timeline`]). Empty in sketch mode.
     #[must_use]
     pub fn busy_spans(&self) -> &[BusySpan] {
         &self.busy_spans
@@ -912,7 +914,7 @@ impl StreamReport {
     #[must_use]
     pub fn utilization_timeline(&self, window_s: f64) -> Vec<UtilizationSample> {
         let ways = self.per_acc.len();
-        if window_s <= 0.0 || self.makespan_s <= 0.0 || ways == 0 {
+        if !(window_s > 0.0 && window_s.is_finite()) || self.makespan_s <= 0.0 || ways == 0 {
             return Vec::new();
         }
         let windows = (self.makespan_s / window_s).ceil() as usize;
@@ -1168,6 +1170,9 @@ mod tests {
         assert!((timeline[1].per_acc[0] - 1.0).abs() < 1e-12);
         assert_eq!(timeline[3].per_acc[0], 0.0);
         assert!((r.acc_utilization(0) - 0.5).abs() < 1e-12);
+        for window_s in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(r.utilization_timeline(window_s).is_empty(), "{window_s}");
+        }
     }
 
     #[test]
@@ -1359,6 +1364,9 @@ mod tests {
         }
         for w in &timeline[2..] {
             assert!((w.per_acc[0] - 0.5).abs() < 1e-12, "{:?}", w);
+        }
+        for window_s in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(r.utilization_timeline(window_s).is_empty(), "{window_s}");
         }
     }
 }

@@ -235,19 +235,33 @@ fn streaming_scenarios_are_legal_and_deterministic() {
                 assert!(f.latency_s >= 0.0);
                 assert!(f.finish_s >= f.arrival_s);
             }
-            // Per-accelerator busy spans never overlap, across all frames.
-            let ways = report.per_acc().len();
-            for a in 0..ways {
-                let mut spans: Vec<(f64, f64)> = report
-                    .busy_spans()
-                    .iter()
-                    .filter(|s| s.acc == a)
-                    .map(|s| (s.start_s, s.finish_s))
-                    .collect();
-                spans.sort_by(|x, y| x.0.total_cmp(&y.0));
-                for pair in spans.windows(2) {
+            // The report's spans come in strictly increasing (start,
+            // sub-accelerator) order as returned: no two share a key.
+            let spans = report.busy_spans();
+            for pair in spans.windows(2) {
+                let order = pair[0]
+                    .start_s
+                    .total_cmp(&pair[1].start_s)
+                    .then(pair[0].acc.cmp(&pair[1].acc));
+                assert!(
+                    order.is_lt(),
+                    "case {case}, {gb} B: spans out of order: {:?}",
+                    pair
+                );
+            }
+            // Per-accelerator busy spans never overlap, across all frames,
+            // and account for every layer the summary counts.
+            for (a, summary) in report.per_acc().iter().enumerate() {
+                let on_acc: Vec<_> = spans.iter().filter(|s| s.acc == a).collect();
+                assert_eq!(on_acc.len(), summary.layers, "case {case}, {gb} B: acc{a}");
+                assert_eq!(
+                    on_acc.last().map_or(0.0, |s| s.finish_s),
+                    summary.finish_s,
+                    "case {case}, {gb} B: acc{a} last finish"
+                );
+                for pair in on_acc.windows(2) {
                     assert!(
-                        pair[1].0 >= pair[0].1 - 1e-9,
+                        pair[1].start_s >= pair[0].finish_s - 1e-9,
                         "case {case}, {gb} B: overlap on acc{a}"
                     );
                 }
