@@ -326,8 +326,8 @@ pub fn print_profile(title: &str, p: &HotPathProfile) {
         p.arena_allocs
     );
     println!(
-        "  phase ns: compile {}  admit {}  run {}  harvest {}",
-        p.compile_ns, p.admit_ns, p.run_ns, p.harvest_ns
+        "  phase ns: compile {}  admit {}  run {}  harvest {}  walk {}",
+        p.compile_ns, p.admit_ns, p.run_ns, p.harvest_ns, p.walk_ns
     );
 }
 

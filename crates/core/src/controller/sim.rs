@@ -32,6 +32,7 @@ use herald_workloads::Scenario;
 use serde::Serialize;
 use std::cell::RefCell;
 use std::sync::Arc;
+use std::time::Instant;
 
 #[cfg(doc)]
 use crate::controller::StaticController;
@@ -464,7 +465,8 @@ fn process_boundary(
 /// dispatch with optional controller decision rounds, then phase-2
 /// per-slot segment simulation. Returns the report beside the merged
 /// [`HotPathProfile`] of every per-chip run plus the walk's own byte
-/// accounting (`timed` additionally collects wall-clock phase timers).
+/// accounting (`timed` additionally collects wall-clock phase timers,
+/// phase 1's as `walk_ns`).
 pub(crate) fn simulate_controlled(
     chips: &[AcceleratorConfig],
     audit: bool,
@@ -508,6 +510,8 @@ pub(crate) fn simulate_controlled(
         || !matches!(params.admission, AdmissionPolicy::AcceptAll)
         || controller_active;
 
+    // Phase 1 (timed as `walk_ns`) starts with the estimate build.
+    let walk_t0 = timed.then(Instant::now);
     let est = if controller_active {
         Estimates::Lazy(Estimator::new(scenario, params.scheduler))
     } else if needs_estimates {
@@ -713,6 +717,7 @@ pub(crate) fn simulate_controlled(
         &mut events,
         &mut epochs,
     )?;
+    let walk_ns = walk_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
 
     // Phase 2: per-slot workers; each slot replays its segments in
     // order on one private context, invalidating the outgoing
@@ -874,6 +879,7 @@ pub(crate) fn simulate_controlled(
         Estimates::Lazy(e) => e.memory_bytes(),
     };
     profile.mem.merge(&walk_mem);
+    profile.walk_ns = walk_ns;
 
     Ok((
         ControlledFleetReport {
@@ -1164,9 +1170,10 @@ impl<'a> ControlledFleetSimulator<'a> {
     }
 
     /// [`ControlledFleetSimulator::simulate`] plus the merged
-    /// [`HotPathProfile`] of every per-chip run and the walk's own byte
-    /// accounting (`profile.mem`). The report is bit-identical to the
-    /// unprofiled entry point.
+    /// [`HotPathProfile`] of every per-chip run, the epoch walk's wall
+    /// time (`profile.walk_ns`) and its own byte accounting
+    /// (`profile.mem`). The report is bit-identical to the unprofiled
+    /// entry point.
     ///
     /// # Errors
     ///

@@ -179,10 +179,11 @@ impl<'a> FleetSimulator<'a> {
     }
 
     /// [`FleetSimulator::simulate`] plus the merged
-    /// [`HotPathProfile`] of every per-chip run and the dispatch walk's
-    /// own byte accounting (`profile.mem`: routed trace lists, audit
-    /// trails, service-estimate tables). The report is bit-identical to
-    /// the unprofiled entry point.
+    /// [`HotPathProfile`] of every per-chip run, the dispatch walk's
+    /// wall time (`profile.walk_ns`) and its own byte accounting
+    /// (`profile.mem`: routed trace lists, audit trails,
+    /// service-estimate tables). The report is bit-identical to the
+    /// unprofiled entry point.
     ///
     /// # Errors
     ///
@@ -324,6 +325,33 @@ mod tests {
                 )
                 .with_deadline(0.05),
             )
+    }
+
+    #[test]
+    fn walk_timer_runs_only_on_profiled_fleet_runs() {
+        let fleet = FleetConfig::homogeneous(&fda(DataflowStyle::Nvdla), 2);
+        let scenario = bursty_scenario(5);
+        let sim = FleetSimulator::new(&fleet);
+        let (report, profile) = sim.simulate_profiled(&scenario).unwrap();
+        assert!(profile.walk_ns > 0, "a profiled fleet run times its walk");
+        assert_eq!(report, sim.simulate(&scenario).unwrap());
+        let mut dispatcher = sim.dispatcher.build();
+        let (_, untimed) = simulate_controlled(
+            fleet.chips(),
+            fleet.audit_trail(),
+            &sim.params(),
+            dispatcher.as_mut(),
+            &scenario,
+            None,
+            false,
+        )
+        .unwrap();
+        assert_eq!(untimed.walk_ns, 0, "only a timed walk is recorded");
+        let cost = herald_cost::CostModel::default();
+        let (_, chip) = crate::sim::StreamSimulator::new(&fleet.chips()[0], &cost)
+            .simulate_profiled(&crate::sched::HeraldScheduler::default(), &scenario)
+            .unwrap();
+        assert_eq!(chip.walk_ns, 0, "a single-chip run has no walk");
     }
 
     #[test]

@@ -133,8 +133,29 @@ pub(crate) struct Event {
 }
 
 impl Event {
-    /// Deterministic total order: time, then swaps before arrivals, then
-    /// stream index.
+    /// The trace's deterministic total order as one integer: time by
+    /// [`f64::total_cmp`], then swaps before arrivals, then stream index.
+    /// The high 64 bits are `t`'s bits mapped so that unsigned integer
+    /// order is `total_cmp` order (`-0.0` sorts just below `0.0`), bit 32
+    /// holds the kind rank and the low 32 bits the stream, so streams
+    /// must fit in a `u32`.
+    pub(crate) fn order_key(&self) -> u128 {
+        debug_assert!(u32::try_from(self.stream).is_ok(), "stream index past u32");
+        let bits = self.t.to_bits();
+        // `total_cmp`'s own mapping (flip a negative's magnitude bits so
+        // signed order is total order), then the sign bit flipped so that
+        // unsigned order is signed order.
+        let t = bits ^ ((((bits as i64) >> 63) as u64) >> 1) ^ (1 << 63);
+        let kind_rank: u128 = match self.kind {
+            EventKind::Swap { .. } => 0,
+            EventKind::Arrival { .. } => 1,
+        };
+        (u128::from(t) << 64) | (kind_rank << 32) | self.stream as u128
+    }
+
+    /// The same order as a tuple, compared with `total_cmp` on time: the
+    /// reference [`Event::order_key`]'s packing is pinned against.
+    #[cfg(test)]
     fn key(&self) -> (f64, u8, usize) {
         let kind_rank = match self.kind {
             EventKind::Swap { .. } => 0,
@@ -144,8 +165,8 @@ impl Event {
     }
 }
 
-/// Heap entry ordering events by [`Event::key`] (`total_cmp` on time, so
-/// `-0.0`/`0.0` order exactly as the materialized sort did).
+/// Heap entry of the engine's chained-arrival heap, ordered by
+/// [`Event::order_key`].
 struct ByKey(Event);
 
 impl PartialEq for ByKey {
@@ -164,18 +185,18 @@ impl PartialOrd for ByKey {
 
 impl Ord for ByKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let (ta, ka, sa) = self.0.key();
-        let (tb, kb, sb) = other.0.key();
-        ta.total_cmp(&tb).then(ka.cmp(&kb)).then(sa.cmp(&sb))
+        self.0.order_key().cmp(&other.0.order_key())
     }
 }
 
 /// One stream's lazy event source: a pull-based [`seeded::arrival_iter`]
 /// plus a cursor over the stream's swap list (indices with
 /// `at_s < horizon`, stably pre-sorted by time so they surface exactly
-/// where the materialized trace's stable sort placed them). Events are
-/// emitted in key order — a swap at or before the pending arrival goes
-/// first, matching the swaps-before-arrivals tiebreak.
+/// where the materialized trace's stable sort placed them). The pending
+/// event is derived from the cursor's state, so [`StreamCursor::peek`]
+/// stores nothing. Events come out in [`Event::order_key`] order — a swap
+/// at or before the pending arrival goes first, matching the
+/// swaps-before-arrivals tiebreak.
 struct StreamCursor<'a> {
     arrivals: herald_workloads::seeded::ArrivalIter<'a>,
     pending_arrival: Option<f64>,
@@ -206,66 +227,125 @@ impl<'a> StreamCursor<'a> {
         }
     }
 
-    fn emit_swap(&mut self, stream: usize) -> Option<Event> {
-        let swap_index = self.swap_order[self.next_swap];
-        self.next_swap += 1;
-        Some(Event {
+    /// The stream's next event, left pending.
+    fn peek(&self, stream: usize) -> Option<Event> {
+        let swap = |swap_index: usize| Event {
             t: self.swaps[swap_index].at_s,
             stream,
             kind: EventKind::Swap { swap_index },
-        })
-    }
-
-    fn next_event(&mut self, stream: usize) -> Option<Event> {
-        let swap_t = self
-            .swap_order
-            .get(self.next_swap)
-            .map(|&i| self.swaps[i].at_s);
-        match (self.pending_arrival, swap_t) {
-            (Some(at), Some(st)) if st.total_cmp(&at).is_le() => self.emit_swap(stream),
-            (Some(at), _) => {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.pending_arrival = self.arrivals.next();
-                Some(Event {
-                    t: at,
-                    stream,
-                    kind: EventKind::Arrival { seq },
-                })
-            }
-            (None, Some(_)) => self.emit_swap(stream),
+        };
+        match (self.pending_arrival, self.swap_order.get(self.next_swap)) {
+            (Some(at), Some(&i)) if self.swaps[i].at_s.total_cmp(&at).is_le() => Some(swap(i)),
+            (Some(at), _) => Some(Event {
+                t: at,
+                stream,
+                kind: EventKind::Arrival { seq: self.next_seq },
+            }),
+            (None, Some(&i)) => Some(swap(i)),
             (None, None) => None,
         }
     }
+
+    /// Consumes the pending event of kind `kind` (the one
+    /// [`StreamCursor::peek`] returned).
+    fn advance(&mut self, kind: EventKind) {
+        match kind {
+            EventKind::Swap { .. } => self.next_swap += 1,
+            EventKind::Arrival { .. } => {
+                self.next_seq += 1;
+                self.pending_arrival = self.arrivals.next();
+            }
+        }
+    }
 }
 
-/// The scenario's full event trace as a lazy k-way merge: one
-/// [`StreamCursor`] per stream, at most one candidate event each in a
-/// min-heap keyed by [`Event::key`]. Yields exactly the sequence the
-/// materialized `build_trace` + stable sort produced — each cursor emits
-/// its own events in key order, cross-stream ties differ in the stream
-/// component, and within-stream ties never coexist in the heap — while
-/// holding O(streams) memory instead of O(total events).
+/// End of a calendar bucket's stream list.
+const NIL: u32 = u32::MAX;
+
+/// The scenario's full event trace as a lazy, exact calendar merge
+/// (R. Brown, "Calendar queues", CACM 1988) of one [`StreamCursor`] per
+/// stream. `[0, horizon)` is cut into `n = streams` buckets, and an event
+/// at `t` falls in bucket `min(n − 1, ⌊t·n/horizon⌋)`. Each stream's
+/// pending event sits in exactly one place:
+///
+/// * in a min-heap of [`Event::order_key`]s, if it falls in the current
+///   bucket;
+/// * otherwise on its later bucket's intrusive list (`head[bucket]`,
+///   `next[stream]`).
+///
+/// The merge pops the heap, pulls that stream's next event, and files it
+/// by the same rule. When the heap runs dry, the next non-empty bucket's
+/// list is loaded into it. The bucket index never decreases as time
+/// grows, so an event in a later bucket is strictly later than every
+/// event in the current one. A cursor emits its own events in key order,
+/// and no two streams' pending events share a key, so the heap's minimum
+/// is the global one. The merge therefore yields, bit for bit, the
+/// sequence the materialized `build_trace` + stable sort produced.
+///
+/// Memory is O(streams), not O(events): 8 B of list per stream plus a
+/// 16 B heap key per pending event of the current bucket. Work per event
+/// is O(1) plus a sift over the current bucket's streams. The worst case
+/// is every event in one bucket (e.g. all-one-shot streams at `t = 0`),
+/// where the calendar is a plain binary heap over every stream.
 pub(crate) struct MergedTrace<'a> {
     cursors: Vec<StreamCursor<'a>>,
-    heap: BinaryHeap<Reverse<ByKey>>,
+    horizon_s: f64,
+    /// First stream of each bucket's list ([`NIL`] when empty).
+    head: Vec<u32>,
+    /// Next stream on the same bucket's list.
+    next: Vec<u32>,
+    /// The bucket whose pending events are in `heap`.
+    current: usize,
+    heap: BinaryHeap<Reverse<u128>>,
 }
 
 impl<'a> MergedTrace<'a> {
+    /// Builds the merge over a validated scenario (finite, non-negative
+    /// times; `-0.0` and `0.0` both fall in bucket 0).
     pub(crate) fn new(scenario: &'a Scenario) -> Self {
-        let horizon = scenario.horizon_s();
-        let mut cursors: Vec<StreamCursor<'a>> = scenario
+        let horizon_s = scenario.horizon_s();
+        let cursors: Vec<StreamCursor<'a>> = scenario
             .streams()
             .iter()
-            .map(|s| StreamCursor::new(s, horizon))
+            .map(|s| StreamCursor::new(s, horizon_s))
             .collect();
-        let mut heap = BinaryHeap::with_capacity(cursors.len());
-        for (si, cursor) in cursors.iter_mut().enumerate() {
-            if let Some(event) = cursor.next_event(si) {
-                heap.push(Reverse(ByKey(event)));
+        let n = cursors.len();
+        assert!(
+            n <= NIL as usize,
+            "{n} streams overflow the u32 calendar lists"
+        );
+        let mut merge = Self {
+            cursors,
+            horizon_s,
+            head: vec![NIL; n],
+            next: vec![NIL; n],
+            current: 0,
+            heap: BinaryHeap::new(),
+        };
+        for stream in 0..n {
+            if let Some(event) = merge.cursors[stream].peek(stream) {
+                merge.file(&event);
             }
         }
-        Self { cursors, heap }
+        merge
+    }
+
+    fn bucket(&self, t: f64) -> usize {
+        let n = self.head.len();
+        ((t * n as f64 / self.horizon_s) as usize).min(n - 1)
+    }
+
+    /// Files a stream's pending event: into the heap if it falls in the
+    /// current bucket, else onto its later bucket's list.
+    fn file(&mut self, event: &Event) {
+        let bucket = self.bucket(event.t);
+        debug_assert!(bucket >= self.current, "event filed into a past bucket");
+        if bucket == self.current {
+            self.heap.push(Reverse(event.order_key()));
+        } else {
+            self.next[event.stream] = self.head[bucket];
+            self.head[bucket] = event.stream as u32;
+        }
     }
 }
 
@@ -273,9 +353,29 @@ impl Iterator for MergedTrace<'_> {
     type Item = Event;
 
     fn next(&mut self) -> Option<Event> {
-        let Reverse(ByKey(event)) = self.heap.pop()?;
-        if let Some(next) = self.cursors[event.stream].next_event(event.stream) {
-            self.heap.push(Reverse(ByKey(next)));
+        let key = loop {
+            if let Some(Reverse(key)) = self.heap.pop() {
+                break key;
+            }
+            let n = self.head.len();
+            self.current = (self.current + 1..n).find(|&b| self.head[b] != NIL)?;
+            let mut stream = std::mem::replace(&mut self.head[self.current], NIL);
+            while stream != NIL {
+                let s = stream as usize;
+                let event = self.cursors[s]
+                    .peek(s)
+                    .expect("a listed stream has an event");
+                self.heap.push(Reverse(event.order_key()));
+                stream = self.next[s];
+            }
+        };
+        let stream = key as u32 as usize;
+        let cursor = &mut self.cursors[stream];
+        let event = cursor.peek(stream).expect("a queued stream has an event");
+        debug_assert_eq!(event.order_key(), key);
+        cursor.advance(event.kind);
+        if let Some(next) = cursor.peek(stream) {
+            self.file(&next);
         }
         Some(event)
     }
@@ -322,11 +422,7 @@ impl<'a> RoutedTraceIter<'a> {
                 }
             }
         }
-        swaps.sort_by(|a, b| {
-            let (ta, ka, sa) = a.key();
-            let (tb, kb, sb) = b.key();
-            ta.total_cmp(&tb).then(ka.cmp(&kb)).then(sa.cmp(&sb))
-        });
+        swaps.sort_by_key(Event::order_key);
         Self {
             arrivals: routed.arrivals,
             next_arrival: 0,
@@ -504,9 +600,9 @@ fn compile<S: Scheduler>(
 
 /// Which source holds the globally next event: the lazy spec-derived
 /// trace or the heap of engine-injected chained arrivals. `None` when
-/// both are exhausted; ties break by the full [`Event::key`] order with
-/// injected events first on exact key equality (which cannot occur —
-/// a chained stream's trace carries only its seq-0 start).
+/// both are exhausted; ties break by [`Event::order_key`] with injected
+/// events first on exact key equality (which cannot occur — a chained
+/// stream's trace carries only its seq-0 start).
 fn next_is_injected<I: Iterator<Item = Event>>(
     trace: &mut std::iter::Peekable<I>,
     injected: &BinaryHeap<Reverse<ByKey>>,
@@ -515,16 +611,7 @@ fn next_is_injected<I: Iterator<Item = Event>>(
         (None, None) => None,
         (None, Some(_)) => Some(true),
         (Some(_), None) => Some(false),
-        (Some(e), Some(Reverse(ByKey(i)))) => {
-            let (ti, ki, si) = i.key();
-            let (te, ke, se) = e.key();
-            Some(
-                ti.total_cmp(&te)
-                    .then(ki.cmp(&ke))
-                    .then(si.cmp(&se))
-                    .is_le(),
-            )
-        }
+        (Some(e), Some(Reverse(ByKey(i)))) => Some(i.order_key() <= e.order_key()),
     }
 }
 
@@ -1397,10 +1484,12 @@ pub(crate) fn reject_chained(scenario: &Scenario, consumer: &str) -> Result<(), 
 }
 
 /// The scenario's full event trace in deterministic simulation order,
-/// materialized — a [`MergedTrace`] collect, kept for callers that
-/// genuinely need random access (the DSE replay cache). The engine, the
-/// fleet dispatch walk, and the controller's epoch walk all consume
-/// [`MergedTrace`] lazily instead.
+/// materialized: the calendar merge ([`MergedTrace`]) collected into one
+/// `Vec`, so O(events) memory where the merge itself holds O(streams).
+/// Kept for the fleet DSE's screening surrogate, which replays one
+/// shared trace once per candidate spec. The engine, the fleet dispatch
+/// walk and the controller's epoch walk consume [`MergedTrace`] lazily
+/// instead.
 pub(crate) fn sorted_trace(scenario: &Scenario) -> Vec<Event> {
     MergedTrace::new(scenario).collect()
 }
@@ -1745,6 +1834,54 @@ mod tests {
             herald_workloads::diurnal_fleet_stream(8, 40.0, 120.0, 0.05, 0.3, 17),
             herald_workloads::diurnal_ramp_trace(4, 40.0, 120.0, 0.05, 0.2, 19),
             herald_workloads::workload_change_trace(60.0, 0.02, 0.2),
+            // Calendar buckets: several streams per bucket, ...
+            herald_workloads::diurnal_fleet_stream(2000, 40.0, 120.0, 0.05, 0.1, 29),
+            // ... every event in bucket 0, ...
+            (0..300).fold(Scenario::new("one-shots", 0.1), |s, i| {
+                s.stream(StreamSpec::one_shot(format!("o{i}"), w()))
+            }),
+            // ... arrivals exactly on bucket boundaries (n streams at n
+            // fps over 1 s: arrival k of every stream lands on the lower
+            // edge of bucket k), ...
+            (0..40).fold(Scenario::new("boundaries", 1.0), |s, i| {
+                s.stream(StreamSpec::periodic(format!("p{i}"), w(), 40.0))
+            }),
+            // ... duplicate times within a stream and across streams,
+            // with -0.0 in a later stream than 0.0, ...
+            Scenario::new("signed-zero-traces", 0.1)
+                .stream(StreamSpec::new(
+                    "a",
+                    w(),
+                    ArrivalProcess::Trace {
+                        times_s: vec![0.0, 0.0, 0.025, 0.05, 0.05],
+                    },
+                ))
+                .stream(StreamSpec::new(
+                    "b",
+                    w(),
+                    ArrivalProcess::Trace {
+                        times_s: vec![-0.0, -0.0, 0.0, 0.025, 0.05, 0.075],
+                    },
+                ))
+                .stream(StreamSpec::new(
+                    "c",
+                    w(),
+                    ArrivalProcess::Trace {
+                        times_s: vec![-0.0, 0.05, 0.05, 0.05],
+                    },
+                )),
+            // ... swaps at -0.0, at 0.0 and on a bucket boundary (0.5 of a
+            // 1 s horizon over 4 streams, also an arrival instant), ...
+            Scenario::new("boundary-swaps", 1.0)
+                .stream(StreamSpec::periodic("a", w(), 4.0).swap_at(0.0, w()))
+                .stream(StreamSpec::periodic("b", w(), 4.0).swap_at(-0.0, w()))
+                .stream(StreamSpec::periodic("c", w(), 4.0).swap_at(0.5, w()))
+                .stream(StreamSpec::poisson("d", w(), 8.0, 31).swap_at(0.25, w())),
+            // ... and a single stream (one bucket).
+            Scenario::new("one-stream", 0.5).stream(
+                StreamSpec::poisson("p", w(), 200.0, 23)
+                    .swap_at(0.25, single_model(zoo::mobilenet_v2(), 1)),
+            ),
         ];
         for scenario in &scenarios {
             let mut reference = build_trace(scenario);
@@ -1761,6 +1898,51 @@ mod tests {
                     "{}: event {i} diverged: {l:?} vs {r:?}",
                     scenario.name()
                 );
+            }
+        }
+    }
+
+    /// `order_key` packs the trace order into one integer: on every pair
+    /// of an edge set it must compare exactly as the (time by
+    /// `total_cmp`, kind rank, stream) tuple does.
+    #[test]
+    fn order_key_matches_the_tuple_order() {
+        let times = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let kinds = [
+            EventKind::Swap { swap_index: 0 },
+            EventKind::Swap { swap_index: 5 },
+            EventKind::Arrival { seq: 0 },
+            EventKind::Arrival { seq: 9 },
+        ];
+        let streams = [0, 1, u32::MAX as usize - 1, u32::MAX as usize];
+        let mut events = Vec::new();
+        for &t in &times {
+            for &kind in &kinds {
+                for &stream in &streams {
+                    events.push(Event { t, stream, kind });
+                }
+            }
+        }
+        for a in &events {
+            for b in &events {
+                let (ta, ka, sa) = a.key();
+                let (tb, kb, sb) = b.key();
+                let tuple = ta.total_cmp(&tb).then(ka.cmp(&kb)).then(sa.cmp(&sb));
+                assert_eq!(a.order_key().cmp(&b.order_key()), tuple, "{a:?} vs {b:?}");
             }
         }
     }

@@ -128,6 +128,11 @@ pub struct HotPathProfile {
     /// Wall-clock nanoseconds harvesting finished frames (zero unless
     /// profiled).
     pub harvest_ns: u64,
+    /// Wall-clock nanoseconds of a fleet run's serial dispatch walk:
+    /// estimate build, trace merge, dispatch and trailing controller
+    /// boundaries, before any chip worker starts (zero unless profiled,
+    /// and always zero for a single-chip `StreamSimulator` run).
+    pub walk_ns: u64,
     /// Byte accounting of the run's retained O(frames) structures.
     pub mem: MemProfile,
 }
@@ -154,6 +159,7 @@ impl HotPathProfile {
         self.admit_ns += other.admit_ns;
         self.run_ns += other.run_ns;
         self.harvest_ns += other.harvest_ns;
+        self.walk_ns += other.walk_ns;
         self.mem.merge(&other.mem);
     }
 
@@ -187,6 +193,7 @@ mod tests {
             max_batch_events: 3,
             arena_reuses: 6,
             arena_allocs: 2,
+            walk_ns: 7,
             ..Default::default()
         };
         let b = HotPathProfile {
@@ -195,10 +202,12 @@ mod tests {
             max_batch_events: 5,
             arena_reuses: 2,
             arena_allocs: 0,
+            walk_ns: 4,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.events, 15);
+        assert_eq!(a.walk_ns, 11);
         assert_eq!(a.admission_batches, 5);
         assert_eq!(a.max_batch_events, 5);
         assert!((a.arena_reuse_rate() - 0.8).abs() < 1e-12);
