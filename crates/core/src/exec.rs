@@ -7,7 +7,9 @@
 //! scenarios share one implementation of dependence ordering and the
 //! memory-feasibility rule.
 
-use crate::sim::core::{EventCore, GraphRef, ScheduleRef, STAGING_FRACTION};
+use crate::sim::core::{
+    build_cost_table, validate_shape, CostTable, EventCore, GraphRef, ScheduleRef, STAGING_FRACTION,
+};
 use crate::task::{TaskGraph, TaskId};
 use herald_arch::AcceleratorConfig;
 use herald_cost::{CostModel, EnergyBreakdown, LayerCost, Metric};
@@ -15,8 +17,6 @@ use herald_dataflow::DataflowStyle;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
-
-pub(crate) use crate::sim::core::earliest_memory_feasible;
 
 /// A complete layer-execution schedule: which sub-accelerator runs each
 /// task, and in what order each sub-accelerator's queue executes.
@@ -311,7 +311,8 @@ impl<'a> ScheduleSimulator<'a> {
     }
 
     /// Replays the schedule as a single frame arriving at `t = 0` on the
-    /// shared event core.
+    /// shared event core, costing each task on its assigned
+    /// sub-accelerator under this simulator's metric.
     ///
     /// # Errors
     ///
@@ -319,10 +320,38 @@ impl<'a> ScheduleSimulator<'a> {
     /// the graph/accelerator, [`SimError::Deadlock`] if the queue order is
     /// circularly blocked.
     pub fn simulate(&self, schedule: &Schedule) -> Result<ExecutionReport, SimError> {
-        let mut core = EventCore::new(self.acc, self.cost, self.metric);
-        core.admit(
+        self.simulate_with_costs(schedule, self.cost_table(schedule)?)
+    }
+
+    /// The replay cost table of `schedule`: each task's cost on its
+    /// assigned sub-accelerator under this simulator's metric, one
+    /// cost-model query per task.
+    pub(crate) fn cost_table(&self, schedule: &Schedule) -> Result<CostTable, SimError> {
+        validate_shape(self.acc, self.graph, schedule)?;
+        Ok(build_cost_table(
+            self.graph,
+            schedule,
+            self.acc,
+            self.cost,
+            self.metric,
+        ))
+    }
+
+    /// [`ScheduleSimulator::simulate`] from a cost table the caller
+    /// already holds. When `costs` equals [`ScheduleSimulator::cost_table`]
+    /// of `schedule`, the report equals `simulate`'s bit for bit; the
+    /// table is indexed by task, so schedules that differ only in queue
+    /// order share one.
+    pub(crate) fn simulate_with_costs(
+        &self,
+        schedule: &Schedule,
+        costs: CostTable,
+    ) -> Result<ExecutionReport, SimError> {
+        let mut core = EventCore::new(self.acc);
+        core.admit_with_costs(
             GraphRef::Borrowed(self.graph),
             ScheduleRef::Borrowed(schedule),
+            costs,
             0.0,
         )?;
         core.run_until(f64::INFINITY)?;

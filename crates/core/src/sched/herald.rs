@@ -8,8 +8,8 @@
 
 use crate::ctx::EvalStats;
 use crate::error::HeraldError;
-use crate::exec::Schedule;
-use crate::sched::{placement, post_process, Scheduler, SchedulerConfig};
+use crate::exec::{ExecutionReport, Schedule, ScheduleSimulator};
+use crate::sched::{placement, postprocess, Scheduler, SchedulerConfig};
 use crate::task::TaskGraph;
 use herald_arch::AcceleratorConfig;
 use herald_cost::CostModel;
@@ -70,6 +70,43 @@ impl HeraldScheduler {
     pub fn config(&self) -> &SchedulerConfig {
         &self.config
     }
+
+    /// One fresh run: the Fig. 8 placement, then the Fig. 9 pass when
+    /// enabled. Returns the kept schedule and, when the pass replayed it,
+    /// its report. The pass replays from the placement's own cost rows
+    /// under the configured metric, so that report equals
+    /// [`HeraldScheduler::replay`] of the schedule.
+    pub(crate) fn run(
+        &self,
+        graph: &TaskGraph,
+        acc: &AcceleratorConfig,
+        cost: &CostModel,
+        stats: &EvalStats,
+    ) -> Result<(Schedule, Option<ExecutionReport>), HeraldError> {
+        stats.record_scheduler_run();
+        let placed = placement::place(graph, acc, cost, &self.config, stats)?;
+        if !self.config.post_process {
+            return Ok((placed.schedule, None));
+        }
+        let (schedule, costs) = placed.into_parts();
+        let sim = ScheduleSimulator::new(graph, acc, cost).with_metric(self.config.metric);
+        let (schedule, report) = postprocess::refine(schedule, costs, graph, &sim, &self.config);
+        Ok((schedule, report.ok()))
+    }
+
+    /// Replays `schedule` under the configured metric, the metric its
+    /// reconfigurable sub-accelerators were placed under.
+    pub(crate) fn replay(
+        &self,
+        graph: &TaskGraph,
+        acc: &AcceleratorConfig,
+        cost: &CostModel,
+        schedule: &Schedule,
+    ) -> Result<ExecutionReport, HeraldError> {
+        Ok(ScheduleSimulator::new(graph, acc, cost)
+            .with_metric(self.config.metric)
+            .simulate(schedule)?)
+    }
 }
 
 impl Default for HeraldScheduler {
@@ -95,13 +132,29 @@ impl Scheduler for HeraldScheduler {
         cost: &CostModel,
         stats: &EvalStats,
     ) -> Result<Schedule, HeraldError> {
-        stats.record_scheduler_run();
-        let schedule = placement::construct_schedule(graph, acc, cost, &self.config, stats)?;
-        Ok(if self.config.post_process {
-            post_process(schedule, graph, acc, cost, &self.config)
-        } else {
-            schedule
-        })
+        Ok(self.run(graph, acc, cost, stats)?.0)
+    }
+
+    fn schedule_and_simulate(
+        &self,
+        graph: &TaskGraph,
+        acc: &AcceleratorConfig,
+        cost: &CostModel,
+    ) -> Result<ExecutionReport, HeraldError> {
+        self.schedule_and_simulate_with(graph, acc, cost, &EvalStats::default())
+    }
+
+    fn schedule_and_simulate_with(
+        &self,
+        graph: &TaskGraph,
+        acc: &AcceleratorConfig,
+        cost: &CostModel,
+        stats: &EvalStats,
+    ) -> Result<ExecutionReport, HeraldError> {
+        match self.run(graph, acc, cost, stats)? {
+            (_, Some(report)) => Ok(report),
+            (schedule, None) => self.replay(graph, acc, cost, &schedule),
+        }
     }
 }
 

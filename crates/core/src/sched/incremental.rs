@@ -18,7 +18,7 @@
 
 use crate::ctx::{EvalContext, EvalStats, ScheduleFingerprint, ScheduleKey};
 use crate::error::HeraldError;
-use crate::exec::Schedule;
+use crate::exec::{ExecutionReport, Schedule};
 use crate::sched::{HeraldScheduler, Scheduler};
 use crate::task::TaskGraph;
 use herald_arch::AcceleratorConfig;
@@ -71,6 +71,40 @@ impl IncrementalScheduler {
     pub fn context(&self) -> &EvalContext {
         &self.ctx
     }
+
+    /// Serves the schedule from the memo, or runs the inner scheduler and
+    /// memoizes its schedule. Returns the schedule, the report of the
+    /// Fig. 9 pass's kept schedule when a fresh run replayed it, and
+    /// whether the memo served it.
+    fn serve(
+        &self,
+        graph: &TaskGraph,
+        acc: &AcceleratorConfig,
+        cost: &CostModel,
+        stats: &EvalStats,
+    ) -> Result<(Schedule, Option<ExecutionReport>, bool), HeraldError> {
+        // Fingerprint-first probe: no allocation on the hot path. The
+        // full structural key is only materialised on a miss, to store
+        // behind the fingerprint for collision verification.
+        let fp = ScheduleFingerprint::of_inputs(graph, acc, self.inner.config(), cost);
+        stats.record_fingerprint_lookup();
+        let (hit, collisions) =
+            self.ctx
+                .schedules()
+                .lookup(fp, graph, acc, self.inner.config(), cost);
+        if collisions > 0 {
+            stats.record_fingerprint_collisions(collisions);
+        }
+        if let Some(schedule) = hit {
+            stats.record_schedule_cache_hit();
+            stats.record_fingerprint_hit();
+            return Ok((schedule, None, true));
+        }
+        let (schedule, report) = self.inner.run(graph, acc, cost, stats)?;
+        let key = ScheduleKey::new(graph, acc, self.inner.config(), cost);
+        self.ctx.schedules().insert_under(fp, key, schedule.clone());
+        Ok((schedule, report, false))
+    }
 }
 
 impl Scheduler for IncrementalScheduler {
@@ -100,27 +134,30 @@ impl Scheduler for IncrementalScheduler {
         cost: &CostModel,
         stats: &EvalStats,
     ) -> Result<(Schedule, bool), HeraldError> {
-        // Fingerprint-first probe: no allocation on the hot path. The
-        // full structural key is only materialised on a miss, to store
-        // behind the fingerprint for collision verification.
-        let fp = ScheduleFingerprint::of_inputs(graph, acc, self.inner.config(), cost);
-        stats.record_fingerprint_lookup();
-        let (hit, collisions) =
-            self.ctx
-                .schedules()
-                .lookup(fp, graph, acc, self.inner.config(), cost);
-        if collisions > 0 {
-            stats.record_fingerprint_collisions(collisions);
+        let (schedule, _, hit) = self.serve(graph, acc, cost, stats)?;
+        Ok((schedule, hit))
+    }
+
+    fn schedule_and_simulate(
+        &self,
+        graph: &TaskGraph,
+        acc: &AcceleratorConfig,
+        cost: &CostModel,
+    ) -> Result<ExecutionReport, HeraldError> {
+        self.schedule_and_simulate_with(graph, acc, cost, self.ctx.stats())
+    }
+
+    fn schedule_and_simulate_with(
+        &self,
+        graph: &TaskGraph,
+        acc: &AcceleratorConfig,
+        cost: &CostModel,
+        stats: &EvalStats,
+    ) -> Result<ExecutionReport, HeraldError> {
+        match self.serve(graph, acc, cost, stats)? {
+            (_, Some(report), _) => Ok(report),
+            (schedule, None, _) => self.inner.replay(graph, acc, cost, &schedule),
         }
-        if let Some(schedule) = hit {
-            stats.record_schedule_cache_hit();
-            stats.record_fingerprint_hit();
-            return Ok((schedule, true));
-        }
-        let schedule = self.inner.schedule_with(graph, acc, cost, stats)?;
-        let key = ScheduleKey::new(graph, acc, self.inner.config(), cost);
-        self.ctx.schedules().insert_under(fp, key, schedule.clone());
-        Ok((schedule, false))
     }
 }
 

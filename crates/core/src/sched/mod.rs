@@ -154,6 +154,19 @@ pub trait Scheduler {
 
     /// Convenience: schedule and immediately replay, returning the report.
     ///
+    /// The default implementation replays through
+    /// [`ScheduleSimulator::new`], whose reconfigurable sub-accelerators
+    /// pick their dataflows under EDP. [`HeraldScheduler`] and
+    /// [`IncrementalScheduler`] override it: their report is the one the
+    /// Fig. 9 pass already replayed (from the cost rows the placement
+    /// queried) when a fresh run makes that pass, and otherwise one
+    /// replay under [`SchedulerConfig::metric`] — a memo hit, a run with
+    /// the pass off, or a run whose pass could not replay its baseline.
+    /// Either way the report equals
+    /// `ScheduleSimulator::new(..).with_metric(cfg.metric).simulate(..)`
+    /// of the schedule [`Scheduler::schedule`] gives for the same
+    /// inputs, bit for bit.
+    ///
     /// # Errors
     ///
     /// Propagates scheduling failures ([`HeraldError::Scheduling`]) and
@@ -170,7 +183,9 @@ pub trait Scheduler {
         Ok(ScheduleSimulator::new(graph, acc, cost).simulate(&schedule)?)
     }
 
-    /// Convenience: [`Scheduler::schedule_with`] followed by a replay.
+    /// Convenience: [`Scheduler::schedule_with`] followed by a replay,
+    /// under the same metric and with the same reuse as
+    /// [`Scheduler::schedule_and_simulate`].
     ///
     /// # Errors
     ///

@@ -3,14 +3,24 @@
 //! groups.
 //!
 //! [`construct_schedule`] is the single implementation of Herald's
-//! dataflow-preference + load-balance-feedback construction. It has no
-//! caches and no hidden state: given equal inputs it returns
-//! bit-identical schedules, which is what lets the incremental layer
-//! ([`crate::sched::IncrementalScheduler`]) and the streaming engine
-//! memoize its output safely. Every per-(task, sub-accelerator) cost
-//! ranking it performs is recorded as a *placement evaluation* in the
-//! supplied [`EvalStats`], so callers can observe exactly how much
-//! placement work a pipeline did.
+//! dataflow-preference + load-balance-feedback construction (a thin
+//! wrapper over the crate-private `place`, which also hands back the
+//! cost rows it queried). It keeps no state across calls: given equal
+//! inputs it returns bit-identical schedules, which is what lets the
+//! incremental layer ([`crate::sched::IncrementalScheduler`]) and the
+//! streaming engine memoize its output safely. Every per-(task,
+//! sub-accelerator) cost ranking it performs is recorded as a
+//! *placement evaluation* in the supplied [`EvalStats`], so callers can
+//! observe exactly how much placement work a pipeline did.
+//!
+//! # Per-way timeline
+//!
+//! Each sub-accelerator runs its groups back to back, so the committed
+//! intervals form one sorted, disjoint list per way. The memory check,
+//! the memory-deferral test and the deferral clock are binary searches
+//! over those lists, O(ways·log n) per query, and answer exactly what
+//! the flat-list scans of the event core's reference answer over all
+//! intervals (`timeline_matches_the_flat_interval_list`).
 //!
 //! # Placement unit: fused tile groups
 //!
@@ -20,8 +30,7 @@
 //! of Herald's layer placement). A group is costed on every
 //! sub-accelerator as a whole: its latency is the sum of its members'
 //! latencies and its ranking score the sum of their per-layer scores,
-//! layered directly over the existing [`CostModel`] with no new cost
-//! tables. All members of a chosen group commit to the same
+//! summed from the members' per-layer [`CostModel`] costs. All members of a chosen group commit to the same
 //! sub-accelerator back to back. At granularity 1 every group is a
 //! single layer and the loop reduces *exactly* to the historical
 //! per-layer construction — same comparisons, same float operations,
@@ -41,11 +50,12 @@
 
 use crate::ctx::EvalStats;
 use crate::error::HeraldError;
-use crate::exec::{earliest_memory_feasible, Schedule};
+use crate::exec::Schedule;
 use crate::sched::{OrderingPolicy, SchedulerConfig};
+use crate::sim::core::CostTable;
 use crate::task::{TaskGraph, TaskId};
 use herald_arch::AcceleratorConfig;
-use herald_cost::{CostModel, LayerCost};
+use herald_cost::{CostModel, LayerCost, Metric};
 use std::collections::VecDeque;
 
 /// Floor of the comparison slack, seconds: the historical absolute
@@ -139,16 +149,79 @@ impl FusionPlan {
     }
 }
 
-/// The per-sub-accelerator cost of one fused tile group, layered over
-/// the existing [`CostModel`]: member layer costs are queried
-/// individually (so the per-layer buffer occupancies stay exact) and
-/// aggregated — group latency is the member sum, the ranking score the
-/// sum of member scores. At granularity 1 both reduce to the single
-/// member's values with no extra arithmetic (`0.0 + x` preserves every
-/// bit for finite non-zero `x`, and scores/latencies are positive).
+/// Every (task, sub-accelerator) cost the placement queries, under the
+/// scheduler's metric: `rows[t * ways + a]` is task `t` on way `a`. A
+/// task is costed on every way at its group's first head visit, and
+/// later visits of a deferred group reuse its row, so the cost model
+/// sees each (task, way) query once per placement. Every task is a head
+/// member before it commits, so the rows are complete at the end, and
+/// the query set (hence the cost model's memo contents) is what the
+/// per-visit queries produced.
+struct CostRows {
+    ways: usize,
+    rows: Vec<Option<LayerCost>>,
+}
+
+impl CostRows {
+    fn new(tasks: usize, ways: usize) -> Self {
+        Self {
+            ways,
+            rows: vec![None; tasks * ways],
+        }
+    }
+
+    /// Costs every member of `group` not yet costed on every way, in
+    /// (member, way) order.
+    fn cost_group(
+        &mut self,
+        group: &[TaskId],
+        graph: &TaskGraph,
+        acc: &AcceleratorConfig,
+        cost: &CostModel,
+        metric: Metric,
+    ) {
+        for &t in group {
+            let row = &mut self.rows[t.0 * self.ways..(t.0 + 1) * self.ways];
+            if row[0].is_none() {
+                for (slot, sub) in row.iter_mut().zip(acc.sub_accelerators()) {
+                    *slot = Some(sub.layer_cost(cost, graph.layer(t), metric));
+                }
+            }
+        }
+    }
+
+    /// Task `t`'s cost on way `a`; `t` must have been costed.
+    fn get(&self, t: TaskId, a: usize) -> &LayerCost {
+        self.rows[t.0 * self.ways + a]
+            .as_ref()
+            .expect("a task is costed at its group's first head visit")
+    }
+
+    /// The replay cost table of `assignment`: each task's row on its
+    /// assigned way, moved out of the rows. Every task of a complete
+    /// assignment was costed before it committed.
+    fn into_table(mut self, assignment: &[usize]) -> CostTable {
+        assignment
+            .iter()
+            .enumerate()
+            .map(|(t, &a)| {
+                self.rows[t * self.ways + a]
+                    .take()
+                    .expect("a placed task was costed at its first head visit")
+            })
+            .collect()
+    }
+}
+
+/// The per-sub-accelerator cost of one fused tile group, summed from
+/// its members' rows: group latency is the member sum, the ranking
+/// score the sum of member scores (member costs stay separate in the
+/// rows, so the per-layer buffer occupancies stay exact). At
+/// granularity 1 both reduce to the single member's values with no
+/// extra arithmetic (`0.0 + x` preserves every bit for finite non-zero
+/// `x`, and scores/latencies are positive). One buffer pair serves
+/// every head visit of a placement.
 struct GroupCost {
-    /// `members[g][a]`: cost of group member `g` on sub-accelerator `a`.
-    members: Vec<Vec<LayerCost>>,
     /// Summed latency per sub-accelerator, seconds.
     latency_s: Vec<f64>,
     /// Summed ranking score per sub-accelerator.
@@ -156,35 +229,111 @@ struct GroupCost {
 }
 
 impl GroupCost {
-    fn of(
-        group: &[TaskId],
-        graph: &TaskGraph,
-        acc: &AcceleratorConfig,
-        cost: &CostModel,
-        cfg: &SchedulerConfig,
-    ) -> Self {
-        let ways = acc.sub_accelerators().len();
-        let members: Vec<Vec<LayerCost>> = group
-            .iter()
-            .map(|&t| {
-                (0..ways)
-                    .map(|a| acc.sub_accelerators()[a].layer_cost(cost, graph.layer(t), cfg.metric))
-                    .collect()
-            })
-            .collect();
-        let mut latency_s = vec![0.0f64; ways];
-        let mut score = vec![0.0f64; ways];
-        for row in &members {
-            for (a, c) in row.iter().enumerate() {
-                latency_s[a] += c.latency_s;
-                score[a] += c.score(cfg.metric);
+    fn new(ways: usize) -> Self {
+        Self {
+            latency_s: vec![0.0; ways],
+            score: vec![0.0; ways],
+        }
+    }
+
+    /// Sums `group`'s rows, in member order per way.
+    fn sum(&mut self, group: &[TaskId], rows: &CostRows, metric: Metric) {
+        self.latency_s.fill(0.0);
+        self.score.fill(0.0);
+        for &t in group {
+            for a in 0..self.latency_s.len() {
+                let c = rows.get(t, a);
+                self.latency_s[a] += c.latency_s;
+                self.score[a] += c.score(metric);
             }
         }
+    }
+}
+
+/// The placement's committed intervals `(start, finish,
+/// occupancy_bytes)`, one list per way. Each way runs its groups back
+/// to back (a commit starts at or after its way's last finish), so every
+/// list is sorted by start and by finish, and only its last interval
+/// starting at or before `t` can hold `t` (half-open, like
+/// [`crate::sim::core::occupancy_at`]). One binary search per way then
+/// answers what the flat-list scans answer over all intervals: the
+/// occupancy at `t` and the earliest finish after `t`, in
+/// O(ways·log n) instead of O(n).
+struct Timeline {
+    ways: Vec<Vec<(f64, f64, u64)>>,
+}
+
+impl Timeline {
+    fn new(ways: usize) -> Self {
         Self {
-            members,
-            latency_s,
-            score,
+            ways: vec![Vec::new(); ways],
         }
+    }
+
+    /// Appends an interval to way `a`, which must start at or after the
+    /// way's last finish.
+    fn push(&mut self, a: usize, start: f64, finish: f64, occ: u64) {
+        let way = &mut self.ways[a];
+        debug_assert!(
+            way.last().is_none_or(|&(_, f, _)| f <= start) && start <= finish,
+            "way {a}: [{start}, {finish}) does not follow its last interval"
+        );
+        way.push((start, finish, occ));
+    }
+
+    /// `(occupancy at t, earliest finish after t)`, the finish infinite
+    /// when none is after `t`. On each way the last interval starting at
+    /// or before `t` either holds `t` (then its finish is the way's first
+    /// after `t`) or ends by `t` (then the next interval, which starts
+    /// after `t`, holds the way's first finish after `t`).
+    fn probe(&self, t: f64) -> (u64, f64) {
+        let mut occ = 0;
+        let mut next = f64::INFINITY;
+        for way in &self.ways {
+            let i = way.partition_point(|&(s, _, _)| s <= t);
+            let fin = match i.checked_sub(1).map(|j| way[j]) {
+                Some((_, f, o)) if t < f => {
+                    occ += o;
+                    f
+                }
+                _ => way.get(i).map_or(f64::INFINITY, |&(_, f, _)| f),
+            };
+            next = next.min(fin);
+        }
+        (occ, next)
+    }
+
+    /// The earliest time `>= ready` at which `occ` extra bytes fit under
+    /// `gb`, stepping across finish events; when none is left the buffer
+    /// can never free up, so it admits at once (as
+    /// [`crate::sim::core::earliest_memory_feasible`] does).
+    fn earliest_feasible(&self, ready: f64, occ: u64, gb: u64) -> f64 {
+        let mut t = ready;
+        loop {
+            let (used, next) = self.probe(t);
+            if used + occ <= gb || next.is_infinite() {
+                return t;
+            }
+            t = next;
+        }
+    }
+}
+
+/// A constructed schedule with the cost rows its placement queried.
+pub(crate) struct Placement {
+    /// The Fig. 8 schedule.
+    pub(crate) schedule: Schedule,
+    rows: CostRows,
+}
+
+impl Placement {
+    /// The schedule and its replay cost table under the scheduler's
+    /// metric, taken from the placement's rows with no cost-model query.
+    /// The Fig. 9 pass keeps every assignment, so the table serves its
+    /// candidate too.
+    pub(crate) fn into_parts(self) -> (Schedule, CostTable) {
+        let table = self.rows.into_table(self.schedule.assignment());
+        (self.schedule, table)
     }
 }
 
@@ -192,9 +341,13 @@ impl GroupCost {
 /// the initial schedule (no post-processing — see
 /// [`crate::sched::post_process`] for the Fig. 9 pass).
 ///
-/// Each visit of a model-queue head costs every member of the head
-/// group on every sub-accelerator; those queries are recorded in
-/// `stats` as placement evaluations (`group_len * ways` per visit).
+/// Each visit of a model-queue head ranks every member of the head
+/// group on every sub-accelerator; those rankings are recorded in
+/// `stats` as placement evaluations (`group_len * ways` per visit). The
+/// cost model is queried once per (task, sub-accelerator), under
+/// `cfg.metric`, at the task's first head visit; deferred visits reuse
+/// those costs. This is a thin wrapper that drops them; Herald's
+/// scheduler keeps them to replay the schedule without querying again.
 ///
 /// # Errors
 ///
@@ -210,6 +363,18 @@ pub fn construct_schedule(
     cfg: &SchedulerConfig,
     stats: &EvalStats,
 ) -> Result<Schedule, HeraldError> {
+    Ok(place(graph, acc, cost, cfg, stats)?.schedule)
+}
+
+/// The Fig. 8 construction behind [`construct_schedule`], returning the
+/// schedule with the cost rows it queried.
+pub(crate) fn place(
+    graph: &TaskGraph,
+    acc: &AcceleratorConfig,
+    cost: &CostModel,
+    cfg: &SchedulerConfig,
+    stats: &EvalStats,
+) -> Result<Placement, HeraldError> {
     let ways = acc.sub_accelerators().len();
     let gb = acc.global_buffer_bytes();
     let staging_cap = gb / 4;
@@ -224,7 +389,11 @@ pub fn construct_schedule(
     let mut acc_free = vec![0.0f64; ways];
     let mut tot_latency = vec![0.0f64; ways];
     let mut finish: Vec<Option<f64>> = vec![None; graph.len()];
-    let mut intervals: Vec<(f64, f64, u64)> = Vec::with_capacity(graph.len());
+    let mut timeline = Timeline::new(ways);
+    let mut rows = CostRows::new(graph.len(), ways);
+    let mut costs = GroupCost::new(ways);
+    let mut ranked: Vec<usize> = Vec::with_capacity(ways);
+    let mut candidates: Vec<usize> = Vec::with_capacity(ways);
     let mut assignment = vec![0usize; graph.len()];
     let mut order: Vec<Vec<TaskId>> = vec![Vec::new(); ways];
     let mut remaining = graph.len();
@@ -256,8 +425,10 @@ pub fn construct_schedule(
             // Rank sub-accelerators by the group's summed per-layer
             // metric (dataflow preference).
             stats.record_placement_evals((group.len() * ways) as u64);
-            let costs = GroupCost::of(group, graph, acc, cost, cfg);
-            let mut ranked: Vec<usize> = (0..ways).collect();
+            rows.cost_group(group, graph, acc, cost, cfg.metric);
+            costs.sum(group, &rows, cfg.metric);
+            ranked.clear();
+            ranked.extend(0..ways);
             ranked.sort_by(|&a, &b| costs.score[a].total_cmp(&costs.score[b]));
             let preferred = ranked[0];
 
@@ -274,7 +445,7 @@ pub fn construct_schedule(
                 .fold(f64::INFINITY, f64::min);
             let unbalanced = tot_latency[preferred] + costs.latency_s[preferred]
                 > cfg.load_balance_factor * min_projected;
-            let mut candidates: Vec<usize> = ranked.clone();
+            candidates.clone_from(&ranked);
             if unbalanced {
                 candidates.sort_by(|&a, &b| {
                     let fa = now.max(acc_free[a]) + costs.latency_s[a];
@@ -287,19 +458,20 @@ pub fn construct_schedule(
                 // Memory condition at the first member's actual start
                 // time (the admission decision; later members follow
                 // sequentially on the same array).
-                let occ = costs.members[0][a].buffer.occupancy_bytes(staging_cap);
+                let occ = rows.get(t, a).buffer.occupancy_bytes(staging_cap);
                 let ready = now.max(acc_free[a]);
-                let start = earliest_memory_feasible(ready, occ, gb, &intervals);
-                if start > ready + time_slack(ready) && intervals.iter().any(|(_, f, _)| *f > now) {
+                let start = timeline.earliest_feasible(ready, occ, gb);
+                if start > ready + time_slack(ready) && timeline.probe(now).1.is_finite() {
                     // Memory-deferred while other layers are still
-                    // draining: try the next candidate instead.
+                    // draining (some finish lies after `now`): try the
+                    // next candidate instead.
                     continue;
                 }
 
                 // Commit the whole group to `a`, members back to back.
                 let mut cursor = start;
                 for (g, &m) in group.iter().enumerate() {
-                    let lat = costs.members[g][a].latency_s;
+                    let lat = rows.get(m, a).latency_s;
                     let (m_start, m_occ) = if g == 0 {
                         (start, occ)
                     } else {
@@ -316,14 +488,11 @@ pub fn construct_schedule(
                             })?;
                             m_ready = m_ready.max(f);
                         }
-                        let m_occ = costs.members[g][a].buffer.occupancy_bytes(staging_cap);
-                        (
-                            earliest_memory_feasible(m_ready, m_occ, gb, &intervals),
-                            m_occ,
-                        )
+                        let m_occ = rows.get(m, a).buffer.occupancy_bytes(staging_cap);
+                        (timeline.earliest_feasible(m_ready, m_occ, gb), m_occ)
                     };
                     let m_fin = m_start + lat;
-                    intervals.push((m_start, m_fin, m_occ));
+                    timeline.push(a, m_start, m_fin, m_occ);
                     finish[m.0] = Some(m_fin);
                     tot_latency[a] += lat;
                     assignment[m.0] = a;
@@ -358,13 +527,10 @@ pub fn construct_schedule(
                 // chip is fully drained, force the clock strictly past
                 // every queue tail so the next sweep finds an idle
                 // accelerator (safety net — cannot recurse because an
-                // idle accelerator always accepts).
-                let next = finish
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .filter(|f| *f > now + time_slack(now))
-                    .fold(f64::INFINITY, f64::min);
+                // idle accelerator always accepts). Every committed task
+                // has one interval ending at its finish, so the next
+                // completion is the timeline's next finish.
+                let (_, next) = timeline.probe(now + time_slack(now));
                 if next.is_finite() {
                     now = next;
                 } else {
@@ -374,9 +540,10 @@ pub fn construct_schedule(
         }
     }
 
-    Schedule::new(assignment, order).map_err(|e| HeraldError::Scheduling {
+    let schedule = Schedule::new(assignment, order).map_err(|e| HeraldError::Scheduling {
         reason: format!("constructed assignment failed structural validation: {e}"),
-    })
+    })?;
+    Ok(Placement { schedule, rows })
 }
 
 #[cfg(test)]
@@ -522,6 +689,81 @@ mod tests {
                 "fusion {fusion}: schedule changed under exact 2^40 time scaling"
             );
         }
+    }
+
+    #[test]
+    fn timeline_matches_the_flat_interval_list() {
+        // Independent oracle: the flat-list scans over every interval.
+        // Each way runs random back-to-back intervals on a half-unit grid
+        // (gaps and lengths may be zero), so finishes tie with starts,
+        // with each other across ways, and with the query times, which
+        // include every start and finish.
+        use crate::rng::SplitMix64;
+        use crate::sim::core::{earliest_memory_feasible, occupancy_at};
+        let mut rng = SplitMix64::seed_from_u64(0x71AE_2026);
+        let gb: u64 = 1 << 12;
+        let (mut zero_length, mut equal_finishes, mut at_bounds, mut never_fits) = (0, 0, 0, 0);
+        for _ in 0..2000 {
+            let ways = rng.gen_range(1, 5);
+            let mut timeline = Timeline::new(ways);
+            let mut flat = Vec::new();
+            for a in 0..ways {
+                let mut free = 0.0f64;
+                for _ in 0..rng.gen_range(0, 7) {
+                    let start = free + rng.gen_range(0, 4) as f64 / 2.0;
+                    let finish = start + rng.gen_range(0, 6) as f64 / 2.0;
+                    let occ = rng.gen_range(0, gb as usize / 2) as u64;
+                    zero_length += usize::from(finish == start);
+                    timeline.push(a, start, finish, occ);
+                    flat.push((start, finish, occ));
+                    free = finish;
+                }
+            }
+            let finishes: Vec<f64> = timeline
+                .ways
+                .iter()
+                .filter_map(|way| way.last().map(|&(_, f, _)| f))
+                .collect();
+            equal_finishes += usize::from(
+                (0..finishes.len()).any(|i| (0..i).any(|j| finishes[i] == finishes[j])),
+            );
+            let mut queries: Vec<f64> = flat.iter().flat_map(|&(s, f, _)| [s, f]).collect();
+            at_bounds += queries.len();
+            queries.extend((0..6).map(|_| rng.gen_range(0, 40) as f64 / 4.0 - 0.5));
+            for t in queries {
+                let next = flat
+                    .iter()
+                    .map(|&(_, f, _)| f)
+                    .filter(|&f| f > t)
+                    .fold(f64::INFINITY, f64::min);
+                assert_eq!(timeline.probe(t), (occupancy_at(t, &flat), next), "t {t}");
+                let occ = rng.gen_range(0, gb as usize * 5 / 4) as u64;
+                never_fits += usize::from(occ > gb);
+                assert_eq!(
+                    timeline.earliest_feasible(t, occ, gb),
+                    earliest_memory_feasible(t, occ, gb, &flat),
+                    "t {t}, occ {occ}, intervals {flat:?}"
+                );
+            }
+        }
+        assert!(zero_length > 0 && equal_finishes > 0 && at_bounds > 0 && never_fits > 0);
+    }
+
+    #[test]
+    fn cost_rows_cover_every_task_once_per_way() {
+        // One cost-model query per (task, way): a second placement on
+        // the same model only hits, and the replay table built from the
+        // rows equals the one the simulator builds by querying.
+        let (graph, acc, _) = setup();
+        let cost = CostModel::default();
+        let cfg = SchedulerConfig::default();
+        let placed = place(&graph, &acc, &cost, &cfg, &EvalStats::default()).unwrap();
+        let ways = acc.sub_accelerators().len() as u64;
+        let queries = cost.cache_hits() + cost.cache_misses();
+        assert_eq!(queries, graph.len() as u64 * ways);
+        let (schedule, table) = placed.into_parts();
+        let sim = crate::exec::ScheduleSimulator::new(&graph, &acc, &cost);
+        assert_eq!(table, sim.cost_table(&schedule).unwrap());
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! layers whose dependences are already satisfied hoist into idle gaps left
 //! by a bad initial order.
 
-use crate::exec::{Schedule, ScheduleSimulator};
+use crate::exec::{ExecutionReport, Schedule, ScheduleSimulator, SimError};
 use crate::sched::SchedulerConfig;
+use crate::sim::core::CostTable;
 use crate::task::{TaskGraph, TaskId};
 use herald_arch::AcceleratorConfig;
 use herald_cost::CostModel;
-use std::collections::HashMap;
 
 /// Runs the Fig. 9 post-processing pass over a schedule.
 ///
@@ -20,6 +20,13 @@ use std::collections::HashMap;
 /// final replay; if it deadlocks or scores worse under the configured
 /// metric, the original schedule is returned unchanged.
 ///
+/// Both replays run under `config.metric` from one cost table, built
+/// here with one cost-model query per task: hoisting only reorders
+/// queues, so the candidate keeps every assignment and the table serves
+/// it too. This is a thin wrapper that drops the kept schedule's report;
+/// Herald's scheduler runs the same pass on the cost table its placement
+/// already holds and returns that report instead of replaying again.
+///
 /// Complexity: `O(m n)` move scanning plus two simulations, matching the
 /// paper's `O(mn)` post-processing claim.
 pub fn post_process(
@@ -30,15 +37,34 @@ pub fn post_process(
     config: &SchedulerConfig,
 ) -> Schedule {
     let sim = ScheduleSimulator::new(graph, acc, cost).with_metric(config.metric);
-    let Ok(baseline) = sim.simulate(&schedule) else {
-        return schedule;
+    match sim.cost_table(&schedule) {
+        Ok(costs) => refine(schedule, costs, graph, &sim, config).0,
+        Err(_) => schedule,
+    }
+}
+
+/// The Fig. 9 pass behind [`post_process`]: `sim` replays `graph` under
+/// `config.metric` from `costs`, the schedule's cost table under that
+/// metric. Returns the kept schedule with its report, or the unchanged
+/// schedule with the baseline replay's error.
+pub(crate) fn refine(
+    schedule: Schedule,
+    costs: CostTable,
+    graph: &TaskGraph,
+    sim: &ScheduleSimulator<'_>,
+    config: &SchedulerConfig,
+) -> (Schedule, Result<ExecutionReport, SimError>) {
+    let baseline = match sim.simulate_with_costs(&schedule, costs.clone()) {
+        Ok(report) => report,
+        Err(e) => return (schedule, Err(e)),
     };
-    // Index the baseline timeline once.
-    let mut start = HashMap::with_capacity(graph.len());
-    let mut finish = HashMap::with_capacity(graph.len());
+    // Index the baseline timeline by task: a single-frame replay has
+    // exactly one entry per task.
+    let mut start = vec![0.0; graph.len()];
+    let mut finish = vec![0.0; graph.len()];
     for e in baseline.entries() {
-        start.insert(e.task, e.start_s);
-        finish.insert(e.task, e.finish_s);
+        start[e.task.0] = e.start_s;
+        finish[e.task.0] = e.finish_s;
     }
 
     let mut order = schedule.order().to_vec();
@@ -46,8 +72,8 @@ pub fn post_process(
     for queue in order.iter_mut() {
         let mut i = 0usize;
         while i + 1 < queue.len() {
-            let finish_i = finish[&queue[i]];
-            let next_start = start[&queue[i + 1]];
+            let finish_i = finish[queue[i].0];
+            let next_start = start[queue[i + 1].0];
             if next_start <= finish_i + 1e-15 {
                 i += 1;
                 continue; // no idle gap to fill
@@ -59,7 +85,7 @@ pub fn post_process(
                 let deps_ok = graph
                     .deps(cand)
                     .iter()
-                    .all(|d| finish[d] <= finish_i + 1e-15);
+                    .all(|d| finish[d.0] <= finish_i + 1e-15);
                 if !deps_ok {
                     continue;
                 }
@@ -83,14 +109,16 @@ pub fn post_process(
         }
     }
     if !moved_any {
-        return schedule;
+        return (schedule, Ok(baseline));
     }
 
     let candidate = Schedule::new(schedule.assignment().to_vec(), order)
         .expect("hoisting preserves structural validity");
-    match sim.simulate(&candidate) {
-        Ok(report) if report.score(config.metric) <= baseline.score(config.metric) => candidate,
-        _ => schedule,
+    match sim.simulate_with_costs(&candidate, costs) {
+        Ok(report) if report.score(config.metric) <= baseline.score(config.metric) => {
+            (candidate, Ok(report))
+        }
+        _ => (schedule, Ok(baseline)),
     }
 }
 

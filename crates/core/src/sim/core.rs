@@ -109,6 +109,32 @@ pub(crate) fn build_cost_table(
         .collect()
 }
 
+/// Checks that a schedule's shape matches the graph and the accelerator:
+/// one assignment per task and one queue per sub-accelerator. Together
+/// with [`Schedule::new`]'s own checks this makes every index
+/// [`build_cost_table`] and the commit loop take in range.
+pub(crate) fn validate_shape(
+    acc: &AcceleratorConfig,
+    g: &TaskGraph,
+    s: &Schedule,
+) -> Result<(), SimError> {
+    if s.assignment().len() != g.len() {
+        return Err(SimError::InvalidSchedule(format!(
+            "schedule covers {} tasks, graph has {}",
+            s.assignment().len(),
+            g.len()
+        )));
+    }
+    if s.ways() != acc.sub_accelerators().len() {
+        return Err(SimError::InvalidSchedule(format!(
+            "schedule has {} queues, accelerator has {} sub-accelerators",
+            s.ways(),
+            acc.sub_accelerators().len()
+        )));
+    }
+    Ok(())
+}
+
 /// One frame in flight.
 struct FrameState<'a> {
     graph: GraphRef<'a>,
@@ -142,8 +168,6 @@ pub(crate) struct FrameResult {
 /// streaming scenarios.
 pub(crate) struct EventCore<'a> {
     acc: &'a AcceleratorConfig,
-    cost: &'a CostModel,
-    metric: Metric,
     /// Per way: finish of the last task committed on it (0 before any).
     /// It is both the time the way's queue frees up and the end of the
     /// way's only interval that can still hold buffer space at or after
@@ -212,7 +236,7 @@ pub(crate) struct EventCore<'a> {
 }
 
 impl<'a> EventCore<'a> {
-    pub(crate) fn new(acc: &'a AcceleratorConfig, cost: &'a CostModel, metric: Metric) -> Self {
+    pub(crate) fn new(acc: &'a AcceleratorConfig) -> Self {
         let per_acc = acc
             .sub_accelerators()
             .iter()
@@ -227,8 +251,6 @@ impl<'a> EventCore<'a> {
         let ways = acc.sub_accelerators().len();
         Self {
             acc,
-            cost,
-            metric,
             acc_free: vec![0.0; ways],
             way_occ: vec![0; ways],
             clock: 0.0,
@@ -270,26 +292,10 @@ impl<'a> EventCore<'a> {
         self.acc.global_buffer_bytes() / STAGING_FRACTION
     }
 
-    /// Admits a frame at `arrival_s`, validating that the schedule's shape
-    /// matches the graph and accelerator; builds the frame's own cost
-    /// table. Returns the frame handle.
-    pub(crate) fn admit(
-        &mut self,
-        graph: GraphRef<'a>,
-        schedule: ScheduleRef<'a>,
-        arrival_s: f64,
-    ) -> Result<usize, SimError> {
-        let costs = {
-            let g = graph.get();
-            let s = schedule.get();
-            self.validate_shape(g, s)?;
-            build_cost_table(g, s, self.acc, self.cost, self.metric)
-        };
-        self.admit_with_costs(graph, schedule, costs, arrival_s)
-    }
-
-    /// [`EventCore::admit`] with a caller-supplied shared cost table,
-    /// which must have one entry per task of the graph.
+    /// Admits a frame at `arrival_s` with its cost table, which must have
+    /// one entry per task of the graph (see [`build_cost_table`]),
+    /// validating that the schedule's shape matches the graph and
+    /// accelerator. Returns the frame handle.
     pub(crate) fn admit_with_costs(
         &mut self,
         graph: GraphRef<'a>,
@@ -300,7 +306,7 @@ impl<'a> EventCore<'a> {
         let (remaining, ways) = {
             let g = graph.get();
             let s = schedule.get();
-            self.validate_shape(g, s)?;
+            validate_shape(self.acc, g, s)?;
             if costs.len() != g.len() {
                 return Err(SimError::InvalidSchedule(format!(
                     "cost table covers {} tasks, graph has {}",
@@ -387,24 +393,6 @@ impl<'a> EventCore<'a> {
         self.remaining_total += remaining;
         self.best_cache = None;
         Ok(slot)
-    }
-
-    fn validate_shape(&self, g: &TaskGraph, s: &Schedule) -> Result<(), SimError> {
-        if s.assignment().len() != g.len() {
-            return Err(SimError::InvalidSchedule(format!(
-                "schedule covers {} tasks, graph has {}",
-                s.assignment().len(),
-                g.len()
-            )));
-        }
-        if s.ways() != self.acc.sub_accelerators().len() {
-            return Err(SimError::InvalidSchedule(format!(
-                "schedule has {} queues, accelerator has {} sub-accelerators",
-                s.ways(),
-                self.acc.sub_accelerators().len()
-            )));
-        }
-        Ok(())
     }
 
     /// Tasks not yet committed across all in-flight frames.
@@ -855,6 +843,9 @@ fn span_order(x: &BusySpan, y: &BusySpan) -> Ordering {
 }
 
 /// Occupancy of the global buffer at time `t` given committed intervals.
+/// The flat-list reference for the debug asserts and the tests; the
+/// event core and the placement answer it per way.
+#[cfg(any(test, debug_assertions))]
 pub(crate) fn occupancy_at(t: f64, intervals: &[(f64, f64, u64)]) -> u64 {
     intervals
         .iter()
@@ -901,7 +892,10 @@ fn memory_floor(clock: f64, occ: u64, gb: u64, acc_free: &[f64], way_occ: &[u64]
 }
 
 /// The earliest time `>= ready` at which `occ` extra bytes fit under the
-/// global-buffer capacity, stepping across interval finish events.
+/// global-buffer capacity, stepping across interval finish events. The
+/// flat-list reference for the debug asserts and the tests, like
+/// [`occupancy_at`].
+#[cfg(any(test, debug_assertions))]
 pub(crate) fn earliest_memory_feasible(
     ready: f64,
     occ: u64,
@@ -1046,16 +1040,17 @@ mod tests {
         let acc = AcceleratorConfig::fda(DataflowStyle::Nvdla, AcceleratorClass::Edge.resources());
         let cost = CostModel::default();
         let schedule = Schedule::new(vec![0; graph.len()], vec![graph.ids().collect()]).unwrap();
-        let mut core = EventCore::new(&acc, &cost, Metric::Edp);
-        core.admit(
+        let costs = build_cost_table(&graph, &schedule, &acc, &cost, Metric::Edp);
+        let mut core = EventCore::new(&acc);
+        core.admit_with_costs(
             GraphRef::Borrowed(&graph),
             ScheduleRef::Borrowed(&schedule),
+            costs.clone(),
             0.0,
         )
         .unwrap();
         core.run_until(f64::INFINITY).unwrap();
         // The full timeline, rebuilt from the frame's entries.
-        let costs = build_cost_table(&graph, &schedule, &acc, &cost, Metric::Edp);
         let staging_cap = core.staging_cap();
         let timeline: Vec<(f64, f64, u64)> = core.frames[0]
             .as_ref()

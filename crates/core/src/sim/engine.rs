@@ -937,7 +937,7 @@ impl<'a> StreamSimulator<'a> {
             });
         }
 
-        let mut core = EventCore::new(self.acc, self.cost, self.metric);
+        let mut core = EventCore::new(self.acc);
         if self.report.is_exact() {
             core.keep_spans();
         }

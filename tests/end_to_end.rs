@@ -241,3 +241,30 @@ fn prelude_supports_readme_flow() -> Result<(), HeraldError> {
     assert_eq!(raw.total_latency_s(), outcome.latency_s());
     Ok(())
 }
+
+/// A fixed reconfigurable array evaluated under a non-EDP metric reports
+/// the dataflows that metric picks: the facade's report is the replay of
+/// its schedule under the requested metric, not under EDP (which picks
+/// other dataflows for some layers, and here gives another report).
+#[test]
+fn fixed_rda_reports_under_the_requested_metric() -> Result<(), HeraldError> {
+    let workload = herald::workloads::arvr_a();
+    let acc = AcceleratorConfig::rda(AcceleratorClass::Cloud.resources());
+    let outcome = Experiment::new(workload.clone())
+        .on_accelerator(acc.clone())
+        .metric(Metric::Energy)
+        .run()?;
+    let graph = TaskGraph::new(&workload);
+    let cost = CostModel::default();
+    let cfg = SchedulerConfig {
+        metric: Metric::Energy,
+        ..SchedulerConfig::default()
+    };
+    let schedule = HeraldScheduler::new(cfg).schedule(&graph, &acc, &cost)?;
+    let sim = ScheduleSimulator::new(&graph, &acc, &cost);
+    let under_edp = sim.simulate(&schedule)?;
+    let under_energy = sim.with_metric(Metric::Energy).simulate(&schedule)?;
+    assert_eq!(outcome.report(), &under_energy);
+    assert_ne!(under_edp, under_energy, "EDP picks other dataflows here");
+    Ok(())
+}

@@ -88,7 +88,11 @@ fn assert_report_legal(graph: &TaskGraph, report: &ExecutionReport) {
 
 /// Herald schedules are complete, dependence-legal, serialized per
 /// sub-accelerator and within the memory budget — for any workload,
-/// partition and scheduler configuration.
+/// partition and scheduler configuration. Each case also runs with a
+/// 16 KiB and a 32 KiB global buffer, where the placement defers
+/// layers for memory and steps its clock across finish events. There a
+/// layer's own working set can exceed the buffer; such a layer runs
+/// alone, so it is the only way the peak passes the capacity.
 #[test]
 fn herald_schedules_are_legal() {
     let mut rng = SplitMix64::seed_from_u64(0x5EED_0001);
@@ -97,15 +101,87 @@ fn herald_schedules_are_legal() {
         let partition = gen_partition(&mut rng);
         let cfg = gen_scheduler_config(&mut rng);
         let graph = TaskGraph::new(&workload);
-        let res = AcceleratorClass::Edge.resources();
-        let acc = AcceleratorConfig::maelstrom(res, partition).expect("legal partition");
-        let cost = CostModel::default();
-        let report = HeraldScheduler::new(cfg)
-            .schedule_and_simulate(&graph, &acc, &cost)
-            .expect("herald schedules are legal");
-        assert_eq!(report.entries().len(), graph.len(), "case {case}: {cfg:?}");
-        assert_report_legal(&graph, &report);
-        assert!(report.peak_memory_bytes() <= acc.global_buffer_bytes());
+        let edge = AcceleratorClass::Edge.resources();
+        for gb in [edge.global_buffer_bytes, 16 << 10, 32 << 10] {
+            let res = HardwareResources::new(edge.pes, edge.bandwidth_gbps, gb);
+            let acc =
+                AcceleratorConfig::maelstrom(res, partition.clone()).expect("legal partition");
+            let cost = CostModel::default();
+            let report = HeraldScheduler::new(cfg)
+                .schedule_and_simulate(&graph, &acc, &cost)
+                .expect("herald schedules are legal");
+            assert_eq!(
+                report.entries().len(),
+                graph.len(),
+                "case {case}, {gb} B: {cfg:?}"
+            );
+            assert_report_legal(&graph, &report);
+            let sim = ScheduleSimulator::new(&graph, &acc, &cost).with_metric(cfg.metric);
+            let largest = report
+                .entries()
+                .iter()
+                .map(|e| {
+                    sim.task_cost(e.task, e.acc)
+                        .buffer
+                        .occupancy_bytes(sim.staging_cap())
+                })
+                .max()
+                .unwrap_or(0);
+            let peak = report.peak_memory_bytes();
+            assert!(
+                peak <= gb || (largest > gb && peak == largest),
+                "case {case}, {gb} B: peak {peak} B, largest layer {largest} B"
+            );
+        }
+    }
+}
+
+/// The report a scheduler returns is the replay of its schedule under
+/// the scheduler's own metric, bit for bit: whether it comes from the
+/// Fig. 9 pass's last replay (a fresh run with the pass on), from a
+/// replay after a run with the pass off, or from a replay of a memoized
+/// schedule. Chips: edge Maelstrom partitions and the edge RDA, whose
+/// dataflow choice depends on the metric.
+#[test]
+fn returned_reports_equal_a_replay_under_the_scheduler_metric() {
+    let mut rng = SplitMix64::seed_from_u64(0x5EED_0006);
+    let edge = AcceleratorClass::Edge.resources();
+    for case in 0..CASES {
+        let workload = gen_workload(&mut rng);
+        let partition = gen_partition(&mut rng);
+        let cfg = gen_scheduler_config(&mut rng);
+        let graph = TaskGraph::new(&workload);
+        let chips = [
+            AcceleratorConfig::maelstrom(edge, partition).expect("legal partition"),
+            AcceleratorConfig::rda(edge),
+        ];
+        for acc in &chips {
+            let cost = CostModel::default();
+            let herald = HeraldScheduler::new(cfg);
+            let schedule = herald.schedule(&graph, acc, &cost).expect("legal");
+            let replay = ScheduleSimulator::new(&graph, acc, &cost)
+                .with_metric(cfg.metric)
+                .simulate(&schedule)
+                .expect("legal");
+            let at = format!("case {case}, {}: {cfg:?}", acc.name());
+            let fresh = herald
+                .schedule_and_simulate(&graph, acc, &cost)
+                .expect("legal");
+            assert_eq!(fresh, replay, "fresh run, {at}");
+
+            let ctx = EvalContext::new();
+            let inc = IncrementalScheduler::new(herald, ctx.clone());
+            let miss = inc
+                .schedule_and_simulate_with(&graph, acc, ctx.cost_model(), ctx.stats())
+                .expect("legal");
+            assert_eq!(ctx.stats().schedule_cache_hits(), 0, "{at}");
+            assert_eq!(miss, replay, "memo miss, {at}");
+            let hit = inc
+                .schedule_and_simulate_with(&graph, acc, ctx.cost_model(), ctx.stats())
+                .expect("legal");
+            assert_eq!(ctx.stats().schedule_cache_hits(), 1, "{at}");
+            assert_eq!(hit, replay, "memo hit, {at}");
+        }
     }
 }
 
