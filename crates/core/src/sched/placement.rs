@@ -149,66 +149,66 @@ impl FusionPlan {
     }
 }
 
-/// Every (task, sub-accelerator) cost the placement queries, under the
-/// scheduler's metric: `rows[t * ways + a]` is task `t` on way `a`. A
-/// task is costed on every way at its group's first head visit, and
-/// later visits of a deferred group reuse its row, so the cost model
-/// sees each (task, way) query once per placement. Every task is a head
-/// member before it commits, so the rows are complete at the end, and
-/// the query set (hence the cost model's memo contents) is what the
-/// per-visit queries produced.
-struct CostRows {
+/// Every (layer class, sub-accelerator) cost the placement queries,
+/// under the scheduler's metric: `rows[c * ways + a]` is class `c` (see
+/// [`TaskGraph::layer_class`]) on way `a`. A class is costed on every way
+/// at the first head visit of any of its tasks, and every later visit of
+/// a task of the class reads its row, so the cost model sees each (class,
+/// way) query once per placement. All tasks of a class cost the same, so
+/// a row is what a per-task query would have returned, and the query set
+/// (hence the cost model's memo contents) is what per-task queries
+/// produced. Every task is a head member before it commits, so the rows
+/// cover every task at the end.
+struct CostRows<'g> {
+    graph: &'g TaskGraph,
     ways: usize,
     rows: Vec<Option<LayerCost>>,
 }
 
-impl CostRows {
-    fn new(tasks: usize, ways: usize) -> Self {
+impl<'g> CostRows<'g> {
+    fn new(graph: &'g TaskGraph, ways: usize) -> Self {
         Self {
+            graph,
             ways,
-            rows: vec![None; tasks * ways],
+            rows: vec![None; graph.num_layer_classes() * ways],
         }
     }
 
-    /// Costs every member of `group` not yet costed on every way, in
-    /// (member, way) order.
+    /// Costs the class of every member of `group` not yet costed on
+    /// every way, in (member, way) order.
     fn cost_group(
         &mut self,
         group: &[TaskId],
-        graph: &TaskGraph,
         acc: &AcceleratorConfig,
         cost: &CostModel,
         metric: Metric,
     ) {
         for &t in group {
-            let row = &mut self.rows[t.0 * self.ways..(t.0 + 1) * self.ways];
+            let c = self.graph.layer_class(t);
+            let row = &mut self.rows[c * self.ways..(c + 1) * self.ways];
             if row[0].is_none() {
                 for (slot, sub) in row.iter_mut().zip(acc.sub_accelerators()) {
-                    *slot = Some(sub.layer_cost(cost, graph.layer(t), metric));
+                    *slot = Some(sub.layer_cost(cost, self.graph.layer(t), metric));
                 }
             }
         }
     }
 
-    /// Task `t`'s cost on way `a`; `t` must have been costed.
+    /// Task `t`'s cost on way `a`, read through its class; `t` must have
+    /// been costed.
     fn get(&self, t: TaskId, a: usize) -> &LayerCost {
-        self.rows[t.0 * self.ways + a]
+        self.rows[self.graph.layer_class(t) * self.ways + a]
             .as_ref()
-            .expect("a task is costed at its group's first head visit")
+            .expect("a task's class is costed at its group's first head visit")
     }
 
-    /// The replay cost table of `assignment`: each task's row on its
-    /// assigned way, moved out of the rows. Every task of a complete
-    /// assignment was costed before it committed.
-    fn into_table(mut self, assignment: &[usize]) -> CostTable {
-        assignment
-            .iter()
-            .enumerate()
-            .map(|(t, &a)| {
-                self.rows[t * self.ways + a]
-                    .take()
-                    .expect("a placed task was costed at its first head visit")
-            })
+    /// The replay cost table of `assignment`: each task's class row on
+    /// its assigned way. Every task of a complete assignment was costed
+    /// before it committed.
+    fn into_table(self, assignment: &[usize]) -> CostTable {
+        self.graph
+            .ids()
+            .map(|t| self.get(t, assignment[t.0]).clone())
             .collect()
     }
 }
@@ -237,7 +237,7 @@ impl GroupCost {
     }
 
     /// Sums `group`'s rows, in member order per way.
-    fn sum(&mut self, group: &[TaskId], rows: &CostRows, metric: Metric) {
+    fn sum(&mut self, group: &[TaskId], rows: &CostRows<'_>, metric: Metric) {
         self.latency_s.fill(0.0);
         self.score.fill(0.0);
         for &t in group {
@@ -320,13 +320,13 @@ impl Timeline {
 }
 
 /// A constructed schedule with the cost rows its placement queried.
-pub(crate) struct Placement {
+pub(crate) struct Placement<'g> {
     /// The Fig. 8 schedule.
     pub(crate) schedule: Schedule,
-    rows: CostRows,
+    rows: CostRows<'g>,
 }
 
-impl Placement {
+impl Placement<'_> {
     /// The schedule and its replay cost table under the scheduler's
     /// metric, taken from the placement's rows with no cost-model query.
     /// The Fig. 9 pass keeps every assignment, so the table serves its
@@ -344,10 +344,11 @@ impl Placement {
 /// Each visit of a model-queue head ranks every member of the head
 /// group on every sub-accelerator; those rankings are recorded in
 /// `stats` as placement evaluations (`group_len * ways` per visit). The
-/// cost model is queried once per (task, sub-accelerator), under
-/// `cfg.metric`, at the task's first head visit; deferred visits reuse
-/// those costs. This is a thin wrapper that drops them; Herald's
-/// scheduler keeps them to replay the schedule without querying again.
+/// cost model is queried once per (layer class, sub-accelerator), under
+/// `cfg.metric`, at the first head visit of any task of the class; later
+/// visits reuse those costs. This is a thin wrapper that drops them;
+/// Herald's scheduler keeps them to replay the schedule without querying
+/// again.
 ///
 /// # Errors
 ///
@@ -368,13 +369,13 @@ pub fn construct_schedule(
 
 /// The Fig. 8 construction behind [`construct_schedule`], returning the
 /// schedule with the cost rows it queried.
-pub(crate) fn place(
-    graph: &TaskGraph,
+pub(crate) fn place<'g>(
+    graph: &'g TaskGraph,
     acc: &AcceleratorConfig,
     cost: &CostModel,
     cfg: &SchedulerConfig,
     stats: &EvalStats,
-) -> Result<Placement, HeraldError> {
+) -> Result<Placement<'g>, HeraldError> {
     let ways = acc.sub_accelerators().len();
     let gb = acc.global_buffer_bytes();
     let staging_cap = gb / 4;
@@ -390,7 +391,7 @@ pub(crate) fn place(
     let mut tot_latency = vec![0.0f64; ways];
     let mut finish: Vec<Option<f64>> = vec![None; graph.len()];
     let mut timeline = Timeline::new(ways);
-    let mut rows = CostRows::new(graph.len(), ways);
+    let mut rows = CostRows::new(graph, ways);
     let mut costs = GroupCost::new(ways);
     let mut ranked: Vec<usize> = Vec::with_capacity(ways);
     let mut candidates: Vec<usize> = Vec::with_capacity(ways);
@@ -425,7 +426,7 @@ pub(crate) fn place(
             // Rank sub-accelerators by the group's summed per-layer
             // metric (dataflow preference).
             stats.record_placement_evals((group.len() * ways) as u64);
-            rows.cost_group(group, graph, acc, cost, cfg.metric);
+            rows.cost_group(group, acc, cost, cfg.metric);
             costs.sum(group, &rows, cfg.metric);
             ranked.clear();
             ranked.extend(0..ways);
@@ -750,20 +751,25 @@ mod tests {
     }
 
     #[test]
-    fn cost_rows_cover_every_task_once_per_way() {
-        // One cost-model query per (task, way): a second placement on
-        // the same model only hits, and the replay table built from the
-        // rows equals the one the simulator builds by querying.
+    fn cost_rows_cover_every_layer_class_once_per_way() {
+        // One cost-model query per (layer class, way), each a miss on a
+        // fresh model, and the replay table read through the classes
+        // equals one queried task by task.
         let (graph, acc, _) = setup();
+        assert!(graph.num_layer_classes() < graph.len(), "no repeated layer");
         let cost = CostModel::default();
         let cfg = SchedulerConfig::default();
         let placed = place(&graph, &acc, &cost, &cfg, &EvalStats::default()).unwrap();
-        let ways = acc.sub_accelerators().len() as u64;
-        let queries = cost.cache_hits() + cost.cache_misses();
-        assert_eq!(queries, graph.len() as u64 * ways);
+        let expected = graph.num_layer_classes() * acc.sub_accelerators().len();
+        assert_eq!(cost.cache_hits() + cost.cache_misses(), expected as u64);
+        assert_eq!(cost.cached_queries(), expected);
         let (schedule, table) = placed.into_parts();
         let sim = crate::exec::ScheduleSimulator::new(&graph, &acc, &cost);
-        assert_eq!(table, sim.cost_table(&schedule).unwrap());
+        let per_task: Vec<LayerCost> = graph
+            .ids()
+            .map(|t| sim.task_cost(t, schedule.assignment()[t.0]))
+            .collect();
+        assert_eq!(*table, *per_task);
     }
 
     #[test]

@@ -91,10 +91,13 @@ pub(crate) type CostTable = Arc<[LayerCost]>;
 
 /// Builds the per-task cost table for `schedule` on `acc`.
 ///
-/// The `(task, assigned sub-accelerator)` query set is exactly the set
-/// the historical per-candidate path evaluated (every task is eventually
-/// a queue head on its assigned queue), so cost-model memo contents are
-/// unchanged too.
+/// The cost model is queried once per (layer class, assigned
+/// sub-accelerator) pair (see [`TaskGraph::layer_class`]), at the pair's
+/// first task; every later task of the pair gets a copy of that answer,
+/// which is the value its own query would have returned. The query set is
+/// the one the historical per-task path evaluated (every task is
+/// eventually a queue head on its assigned queue), so cost-model memo
+/// contents are unchanged too.
 pub(crate) fn build_cost_table(
     graph: &TaskGraph,
     schedule: &Schedule,
@@ -103,9 +106,15 @@ pub(crate) fn build_cost_table(
     metric: Metric,
 ) -> CostTable {
     let subs = acc.sub_accelerators();
+    let mut rows: Vec<Option<LayerCost>> = vec![None; graph.num_layer_classes() * subs.len()];
     graph
         .ids()
-        .map(|t| subs[schedule.assignment()[t.0]].layer_cost(cost, graph.layer(t), metric))
+        .map(|t| {
+            let a = schedule.assignment()[t.0];
+            rows[graph.layer_class(t) * subs.len() + a]
+                .get_or_insert_with(|| subs[a].layer_cost(cost, graph.layer(t), metric))
+                .clone()
+        })
         .collect()
 }
 
@@ -937,6 +946,85 @@ mod tests {
                 (start, start + dur, occ)
             })
             .collect()
+    }
+
+    #[test]
+    fn cost_tables_equal_per_task_queries_on_random_assignments() {
+        // Independent oracle: each task queried on its own, from a
+        // separate cost model, against the table built once per (layer
+        // class, assigned way). The chips cover fixed ways, a
+        // reconfigurable array whose style choice depends on the metric,
+        // and gated ways running sparse layers; the workload repeats
+        // layers and carries dense and sparse variants of one model.
+        use crate::exec::{Schedule, ScheduleSimulator};
+        use herald_arch::{AcceleratorClass, Partition};
+        use herald_dataflow::DataflowStyle;
+        use herald_models::zoo;
+
+        let workload = herald_workloads::MultiDnnWorkload::new("mix")
+            .with_model(zoo::mobilenet_v2(), 2)
+            .with_model(zoo::mobilenet_v2().with_uniform_density(0.3), 1)
+            .with_model(zoo::resnet50().with_uniform_density(0.6), 1);
+        let graph = TaskGraph::new(&workload);
+        assert!(graph.num_layer_classes() < graph.len());
+        let res = AcceleratorClass::Mobile.resources();
+        let chips = [
+            AcceleratorConfig::maelstrom(res, Partition::even(2, res.pes, res.bandwidth_gbps))
+                .unwrap(),
+            AcceleratorConfig::rda(res),
+            AcceleratorConfig::hda(
+                &DataflowStyle::ALL,
+                res,
+                Partition::even(3, res.pes, res.bandwidth_gbps),
+            )
+            .unwrap()
+            .with_sparse_gating(),
+        ];
+        let oracle_cost = CostModel::default();
+        let mut rng = SplitMix64::seed_from_u64(0xC1A5_2026);
+        for acc in &chips {
+            let ways = acc.sub_accelerators().len();
+            for round in 0..3 {
+                let assignment: Vec<usize> = graph.ids().map(|_| rng.gen_range(0, ways)).collect();
+                let mut order = vec![Vec::new(); ways];
+                for t in graph.ids() {
+                    order[assignment[t.0]].push(t);
+                }
+                let schedule = Schedule::new(assignment.clone(), order).unwrap();
+                for metric in Metric::ALL {
+                    let cost = CostModel::default();
+                    let table = build_cost_table(&graph, &schedule, acc, &cost, metric);
+                    let oracle =
+                        ScheduleSimulator::new(&graph, acc, &oracle_cost).with_metric(metric);
+                    assert_eq!(table.len(), graph.len());
+                    for t in graph.ids() {
+                        // `Debug` prints every float in full, so equal
+                        // strings mean equal bits.
+                        assert_eq!(
+                            format!("{:?}", table[t.0]),
+                            format!("{:?}", oracle.task_cost(t, assignment[t.0])),
+                            "{} round {round} {metric:?} {t}",
+                            acc.name()
+                        );
+                    }
+                    // One query per (layer class, assigned way); a
+                    // reconfigurable way queries every style.
+                    let pairs: std::collections::HashSet<(usize, usize)> = graph
+                        .ids()
+                        .map(|t| (graph.layer_class(t), assignment[t.0]))
+                        .collect();
+                    let per_pair = if acc.sub_accelerators()[0].is_reconfigurable() {
+                        DataflowStyle::ALL.len()
+                    } else {
+                        1
+                    };
+                    assert_eq!(
+                        cost.cache_hits() + cost.cache_misses(),
+                        (pairs.len() * per_pair) as u64
+                    );
+                }
+            }
+        }
     }
 
     #[test]

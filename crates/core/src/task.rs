@@ -1,8 +1,10 @@
 //! Flattened multi-DNN task graphs.
 
+use herald_cost::LayerKey;
 use herald_models::{Layer, LayerId};
 use herald_workloads::MultiDnnWorkload;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Index of a task (one MAC layer of one model replica) in a
@@ -42,6 +44,10 @@ pub struct TaskGraph {
     offsets: Vec<usize>,
     /// Per-task dependence lists (within-instance edges, remapped).
     deps: Vec<Vec<TaskId>>,
+    /// Per-task layer class (see [`TaskGraph::layer_class`]).
+    classes: Vec<usize>,
+    /// Number of distinct layer classes.
+    num_classes: usize,
     total: usize,
     /// Lazily computed structural-fingerprint section (layers, edges,
     /// instance offsets), shared by clones made after the first
@@ -54,17 +60,21 @@ impl TaskGraph {
     pub fn new(workload: &MultiDnnWorkload) -> Self {
         let mut offsets = Vec::with_capacity(workload.instances().len());
         let mut deps: Vec<Vec<TaskId>> = Vec::with_capacity(workload.total_layers());
+        let mut classes = Vec::with_capacity(workload.total_layers());
+        let mut class_of: HashMap<LayerKey, usize> = HashMap::new();
         let mut next = 0usize;
         for inst in workload.instances() {
             offsets.push(next);
             let model = inst.model();
-            for (lid, _) in model.iter() {
+            for (lid, layer) in model.iter() {
                 let d = model
                     .predecessors(lid)
                     .iter()
                     .map(|p| TaskId(next + p.0))
                     .collect();
                 deps.push(d);
+                let fresh = class_of.len();
+                classes.push(*class_of.entry(LayerKey::of(layer)).or_insert(fresh));
             }
             next += model.num_layers();
         }
@@ -72,6 +82,8 @@ impl TaskGraph {
             workload: workload.clone(),
             offsets,
             deps,
+            classes,
+            num_classes: class_of.len(),
             total: next,
             fingerprint: std::sync::OnceLock::new(),
         }
@@ -162,12 +174,30 @@ impl TaskGraph {
     pub fn ids(&self) -> impl Iterator<Item = TaskId> {
         (0..self.total).map(TaskId)
     }
+
+    /// The layer class of a task, in `0..num_layer_classes()`. Two tasks
+    /// share a class exactly when their layers have equal [`LayerKey`]s
+    /// (shape, operator and density bits, the layer part of the cost
+    /// model's memo key; `name` and `seq_position` do not change a cost).
+    /// So on any sub-accelerator and under any metric, every task of a
+    /// class has the same [`herald_cost::LayerCost`], and a caller can
+    /// query the cost model once per class instead of once per task.
+    /// Classes are numbered in order of their first task.
+    pub(crate) fn layer_class(&self, task: TaskId) -> usize {
+        self.classes[task.0]
+    }
+
+    /// The number of distinct layer classes (see
+    /// [`TaskGraph::layer_class`]); at most [`TaskGraph::len`].
+    pub(crate) fn num_layer_classes(&self) -> usize {
+        self.num_classes
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use herald_models::zoo;
+    use herald_models::{zoo, LayerDims, LayerOp};
     use herald_workloads::MultiDnnWorkload;
 
     fn graph() -> TaskGraph {
@@ -223,5 +253,77 @@ mod tests {
         let g = graph();
         let t = g.instance_tasks(2)[0];
         assert_eq!(g.layer(t).name(), "enc1_ih");
+    }
+
+    /// The layer part of the cost model's memo key, spelled out.
+    fn cost_identity(g: &TaskGraph, t: TaskId) -> (LayerDims, LayerOp, u64) {
+        let l = g.layer(t);
+        (*l.dims(), l.op(), l.density().to_bits())
+    }
+
+    #[test]
+    fn layer_classes_partition_tasks_by_cost_identity_in_first_seen_order() {
+        for g in [graph(), TaskGraph::new(&herald_workloads::arvr_b())] {
+            // Two tasks share a class exactly when their cost identities
+            // are equal.
+            for a in g.ids() {
+                for b in g.ids() {
+                    assert_eq!(
+                        g.layer_class(a) == g.layer_class(b),
+                        cost_identity(&g, a) == cost_identity(&g, b),
+                        "{a} vs {b}"
+                    );
+                }
+            }
+            // Walking the tasks in order, each class first appears as the
+            // next unused number.
+            let mut seen = 0;
+            for t in g.ids() {
+                let class = g.layer_class(t);
+                assert!(class <= seen, "{t}: class {class} skips ahead of {seen}");
+                seen += usize::from(class == seen);
+            }
+            assert_eq!(seen, g.num_layer_classes());
+        }
+    }
+
+    #[test]
+    fn name_and_sequence_position_do_not_split_a_class_but_density_does() {
+        // Five equal-shape layers, each with its own name: the third
+        // carries a sequence position, the last two a sparse density.
+        let dims = LayerDims::conv(64, 32, 28, 28, 3, 3);
+        let model = ["a", "b", "c", "d", "e"]
+            .into_iter()
+            .fold(herald_models::ModelBuilder::new("m"), |b, name| {
+                b.chain(name, LayerOp::Conv2d, dims)
+            })
+            .build()
+            .unwrap();
+        let mut position = 0;
+        let model = model.map_layers(|l| {
+            position += 1;
+            match position {
+                3 => l.with_seq_position(5),
+                4 | 5 => l.with_density(0.5),
+                _ => l,
+            }
+        });
+        let g = TaskGraph::new(&herald_workloads::single_model(model, 2));
+        let classes: Vec<usize> = g.ids().map(|t| g.layer_class(t)).collect();
+        assert_eq!(classes, [0, 0, 0, 1, 1, 0, 0, 0, 1, 1]);
+        assert_eq!(g.num_layer_classes(), 2);
+    }
+
+    #[test]
+    fn table_iii_workloads_have_pinned_layer_class_counts() {
+        let counts: Vec<(usize, usize)> = herald_workloads::all_workloads()
+            .iter()
+            .map(|w| {
+                let g = TaskGraph::new(w);
+                (g.len(), g.num_layer_classes())
+            })
+            .collect();
+        // AR/VR-A, AR/VR-B, MLPerf.
+        assert_eq!(counts, [(412, 78), (464, 107), (217, 116)]);
     }
 }

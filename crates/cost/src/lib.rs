@@ -52,5 +52,5 @@ mod traffic;
 pub use buffer::BufferRequirement;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use metric::Metric;
-pub use model::{CostModel, CostModelConfig, CostQuery, LayerCost};
+pub use model::{CostModel, CostModelConfig, CostQuery, LayerCost, LayerKey};
 pub use traffic::TrafficCounts;

@@ -5,7 +5,9 @@ use crate::{BufferRequirement, EnergyBreakdown, EnergyModel, Metric, TrafficCoun
 use herald_dataflow::{DataflowStyle, Mapping, MappingBuilder};
 use herald_models::{Layer, LayerDims, LayerOp};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -181,12 +183,99 @@ impl LayerCost {
     }
 }
 
-type CacheKey = (LayerDims, LayerOp, DataflowStyle, u32, u64, bool, u64, bool);
+/// The part of a layer its cost depends on: shape, operator and weight
+/// density (bit for bit). Two layers with equal keys get the same
+/// [`LayerCost`] from every query; a layer's name and sequence position
+/// are not part of it. The cost memo keys on it, and callers may use it
+/// to query once per distinct layer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LayerKey {
+    dims: LayerDims,
+    op: LayerOp,
+    density_bits: u64,
+}
+
+impl LayerKey {
+    /// The key of `layer`.
+    pub fn of(layer: &Layer) -> Self {
+        Self {
+            dims: *layer.dims(),
+            op: layer.op(),
+            density_bits: layer.density().to_bits(),
+        }
+    }
+}
+
+type CacheKey = (LayerKey, DataflowStyle, u32, u64, bool, bool);
+
+/// The memo's hasher: FxHash's multiply-rotate step over each integer of
+/// the key. A key is 15 integers from the caller's own layer shapes and
+/// hardware slices, not input from a party that could choose keys to
+/// collide, so it needs no keyed (SipHash) hash, which took most of a
+/// warm query's time. Nothing iterates the map, so the hash never reaches
+/// a result.
+#[derive(Default)]
+struct FxBuildHasher;
+
+impl BuildHasher for FxBuildHasher {
+    type Hasher = FxHasher;
+
+    fn build_hasher(&self) -> FxHasher {
+        FxHasher(0)
+    }
+}
+
+struct FxHasher(u64);
+
+impl FxHasher {
+    /// FxHash's odd multiplier (from Firefox and rustc).
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// The analytical cost model, with internal memoization.
 ///
 /// Thread-safe: schedulers and the DSE sweep may query it from worker
-/// threads concurrently.
+/// threads concurrently. Each distinct query counts one miss however
+/// many threads race on it, so [`CostModel::cache_misses`] always equals
+/// [`CostModel::cached_queries`].
 ///
 /// # Example
 ///
@@ -204,7 +293,7 @@ type CacheKey = (LayerDims, LayerOp, DataflowStyle, u32, u64, bool, u64, bool);
 #[derive(Debug, Default)]
 pub struct CostModel {
     config: CostModelConfig,
-    cache: RwLock<HashMap<CacheKey, LayerCost>>,
+    cache: RwLock<HashMap<CacheKey, LayerCost, FxBuildHasher>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -214,7 +303,7 @@ impl CostModel {
     pub fn new(config: CostModelConfig) -> Self {
         Self {
             config,
-            cache: RwLock::new(HashMap::new()),
+            cache: RwLock::new(HashMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -275,15 +364,18 @@ impl CostModel {
     }
 
     /// Evaluates a layer under an arbitrary [`CostQuery`].
+    ///
+    /// A query the read lock does not find is computed outside any lock
+    /// and then decided under the write lock: the thread that inserts the
+    /// entry counts the miss, and one that finds it already inserted by a
+    /// racing thread counts a hit and returns the memo's value.
     pub fn query(&self, layer: &Layer, q: CostQuery) -> LayerCost {
         let key: CacheKey = (
-            *layer.dims(),
-            layer.op(),
+            LayerKey::of(layer),
             q.style,
             q.pes,
             q.bandwidth_gbps.to_bits(),
             q.reconfigurable,
-            layer.density().to_bits(),
             q.sparse_gating,
         );
         if let Some(hit) = self
@@ -295,13 +387,22 @@ impl CostModel {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let cost = self.compute(layer, q);
-        self.cache
+        match self
+            .cache
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, cost.clone());
-        cost
+            .entry(key)
+        {
+            Entry::Vacant(slot) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                slot.insert(cost).clone()
+            }
+            Entry::Occupied(slot) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                slot.get().clone()
+            }
+        }
     }
 
     /// Evaluates a layer under an explicit, externally constructed mapping
@@ -556,6 +657,40 @@ mod tests {
         let b = m.evaluate(&layer, DataflowStyle::Nvdla, 1024, 32.0);
         assert_eq!(m.cached_queries(), 1);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn racing_misses_count_once_per_distinct_query() {
+        // Threads released together by a barrier query one key set in
+        // the same order, so they race on every miss. Whoever inserts an
+        // entry counts its miss; the others count hits.
+        const THREADS: usize = 4;
+        let layers: Vec<Layer> = (1..=24).map(|k| conv(8 * k, 16, 14, 3)).collect();
+        let queries: Vec<(&Layer, DataflowStyle)> = layers
+            .iter()
+            .flat_map(|l| DataflowStyle::ALL.map(|s| (l, s)))
+            .collect();
+        for round in 0..8 {
+            let m = model();
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                for _ in 0..THREADS {
+                    scope.spawn(|| {
+                        start.wait();
+                        for &(layer, style) in &queries {
+                            m.evaluate(layer, style, 256, 16.0);
+                        }
+                    });
+                }
+            });
+            assert_eq!(m.cached_queries(), queries.len(), "round {round}");
+            assert_eq!(m.cache_misses(), m.cached_queries() as u64, "round {round}");
+            assert_eq!(
+                m.cache_hits() + m.cache_misses(),
+                (THREADS * queries.len()) as u64,
+                "round {round}"
+            );
+        }
     }
 
     #[test]
