@@ -398,6 +398,20 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_or_non_positive_bandwidths_never_reach_a_chip() {
+        // A NaN bandwidth once passed the partition check and then
+        // panicked inside `maelstrom`, a fallible constructor.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -1.0] {
+            assert!(
+                Partition::new(vec![512, 512], vec![bad, 4.0]).is_err(),
+                "bandwidth {bad} accepted"
+            );
+        }
+        let p = Partition::new(vec![512, 512], vec![12.0, 4.0]).unwrap();
+        assert!(AcceleratorConfig::maelstrom(AcceleratorClass::Edge.resources(), p).is_ok());
+    }
+
+    #[test]
     fn hda_rejects_over_budget_partitions() {
         let p = Partition::new(vec![1024, 896], vec![4.0, 12.0]).unwrap();
         assert!(matches!(

@@ -29,7 +29,8 @@ impl Partition {
     /// # Errors
     ///
     /// Returns a message if the vectors are empty, differ in length, or
-    /// contain zero/negative allocations.
+    /// contain a zero PE count or a bandwidth that is not finite and
+    /// positive.
     pub fn new(pes: Vec<u32>, bandwidth_gbps: Vec<f64>) -> Result<Self, String> {
         if pes.is_empty() {
             return Err("partition must cover at least one sub-accelerator".into());
@@ -44,7 +45,7 @@ impl Partition {
         if pes.contains(&0) {
             return Err("every sub-accelerator needs at least one PE".into());
         }
-        if bandwidth_gbps.iter().any(|&b| b <= 0.0) {
+        if !bandwidth_gbps.iter().all(|&b| b.is_finite() && b > 0.0) {
             return Err("every sub-accelerator needs positive bandwidth".into());
         }
         Ok(Self {

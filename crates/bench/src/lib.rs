@@ -326,6 +326,10 @@ pub fn print_profile(title: &str, p: &HotPathProfile) {
         p.arena_allocs
     );
     println!(
+        "  commits {}  selections {} ({} memory-aware)  head scans {}",
+        p.commits, p.selections, p.fallback_scans, p.head_scans
+    );
+    println!(
         "  phase ns: compile {}  admit {}  run {}  harvest {}  walk {}",
         p.compile_ns, p.admit_ns, p.run_ns, p.harvest_ns, p.walk_ns
     );

@@ -13,6 +13,12 @@
 //! queue, with layer completions as events and the last committed start
 //! as the virtual clock.
 //!
+//! Selection reads a flat head table with one entry per (frame, way):
+//! the ready time of the frame's queue head on that way, before the way
+//! itself frees up. Only a frame's own commits change its entries, so a
+//! commit rescans the committing way's new head and the frame's blocked
+//! heads, and nothing of any other frame.
+//!
 //! The global-buffer constraint needs no interval history. Each
 //! sub-accelerator (a *way*) runs its tasks back to back, and no commit
 //! starts before the clock, so every interval but the last one on each
@@ -27,6 +33,7 @@
 //! that keeps spans ([`EventCore::keep_spans`]) records each commit's
 //! span in (start, way) order as it happens, with no sort afterwards.
 
+use super::profile::HotPathProfile;
 use super::report::BusySpan;
 use crate::exec::{AccSummary, ExecutionReport, Schedule, ScheduleEntry, SimError};
 use crate::task::{TaskGraph, TaskId};
@@ -144,6 +151,15 @@ pub(crate) fn validate_shape(
     Ok(())
 }
 
+/// The `head_ready` entry of a queue head with an uncommitted dependence.
+/// No candidate compares below it, so selection never picks it.
+const BLOCKED: f64 = f64::INFINITY;
+
+/// The `head_ready` entry of an exhausted queue. NaN compares false with
+/// everything: selection never picks it, and a commit never rescans it,
+/// since it is not [`BLOCKED`].
+const EXHAUSTED: f64 = f64::NAN;
+
 /// One frame in flight.
 struct FrameState<'a> {
     graph: GraphRef<'a>,
@@ -200,19 +216,22 @@ pub(crate) struct EventCore<'a> {
     /// done frame offers no candidates), so `run_until`'s stopping scan
     /// doubles as the batched-admission window probe for free.
     best_cache: Option<Option<(f64, usize, usize, TaskId)>>,
-    /// Per-frame best candidate `(ready, way, task)` ranked by *ready*
-    /// time (first way wins ties), parallel to `frames`. Outer `None` =
-    /// stale, `Some(None)` = every queue head blocked. Ready times never
-    /// depend on buffer occupancy, so an entry only goes stale when its
-    /// own frame commits (heads/deps change) or any frame commits on the
-    /// entry's way (`acc_free` moves); other commits leave it exact.
-    frame_best: Vec<Option<Option<(f64, usize, TaskId)>>>,
+    /// The head table, at `[slot * ways + way]`: the max of the frame's
+    /// arrival and the finish of every dependence of its queue head on
+    /// that way, [`BLOCKED`] while a dependence is uncommitted and
+    /// [`EXHAUSTED`] once the queue is empty. The head's ready time is
+    /// this entry's max with the way's `acc_free`. Only the frame's own
+    /// commits change it: an unblocked head's dependences have fixed
+    /// finishes.
+    head_ready: Vec<f64>,
+    /// The queue head each `head_ready` entry describes (stale once the
+    /// queue is exhausted).
+    head_task: Vec<TaskId>,
     /// Max single-task occupancy over every admission so far (monotone,
-    /// conservative). When the tournament winner's ready time `r` is at
-    /// or after `clock` and `occupancy(r) + occ_cap` fits the buffer,
+    /// conservative). When the earliest-ready head's ready time `r` is
+    /// at or after `clock` and `occupancy(r) + occ_cap` fits the buffer,
     /// every candidate's feasible start equals its ready time, so
-    /// ready-ranking equals start-ranking and the tournament over
-    /// `frame_best` reproduces the flat scan exactly.
+    /// ready-ranking equals start-ranking.
     occ_cap: u64,
     /// Frame slab: slots are recycled through `free` once a frame is
     /// taken, so a long stream reuses a bounded set of slots instead of
@@ -236,6 +255,15 @@ pub(crate) struct EventCore<'a> {
     /// Per-frame buffers served from a pool vs freshly allocated.
     arena_reuses: u64,
     arena_allocs: u64,
+    /// Tasks committed.
+    commits: u64,
+    /// Candidate scans run by [`EventCore::select_best`] (selections
+    /// served from `best_cache` are not counted).
+    selections: u64,
+    /// Dependence-list walks behind `head_ready` entries.
+    head_scans: u64,
+    /// Selections settled by the memory-aware flat scan.
+    fallback_scans: u64,
     per_acc: Vec<AccSummary>,
     energy: EnergyBreakdown,
     peak_mem: u64,
@@ -266,7 +294,8 @@ impl<'a> EventCore<'a> {
             #[cfg(debug_assertions)]
             intervals: Vec::new(),
             best_cache: None,
-            frame_best: Vec::new(),
+            head_ready: Vec::new(),
+            head_task: Vec::new(),
             occ_cap: 0,
             frames: Vec::new(),
             active: Vec::new(),
@@ -277,6 +306,10 @@ impl<'a> EventCore<'a> {
             entries_pool: Vec::new(),
             arena_reuses: 0,
             arena_allocs: 0,
+            commits: 0,
+            selections: 0,
+            head_scans: 0,
+            fallback_scans: 0,
             per_acc,
             energy: EnergyBreakdown::default(),
             peak_mem: 0,
@@ -393,11 +426,12 @@ impl<'a> EventCore<'a> {
             }
             None => {
                 self.frames.push(Some(state));
-                self.frame_best.push(None);
+                self.head_ready.resize(self.frames.len() * ways, EXHAUSTED);
+                self.head_task.resize(self.frames.len() * ways, TaskId(0));
                 self.frames.len() - 1
             }
         };
-        self.frame_best[slot] = None;
+        self.refresh_heads(slot, |_, _| true);
         self.active.push(slot);
         self.remaining_total += remaining;
         self.best_cache = None;
@@ -416,10 +450,45 @@ impl<'a> EventCore<'a> {
         self.entries_pool.push(entries);
     }
 
-    /// `(reused, freshly allocated)` per-frame buffer counts — the
-    /// profiling story's "allocations avoided" evidence.
-    pub(crate) fn arena_counters(&self) -> (u64, u64) {
-        (self.arena_reuses, self.arena_allocs)
+    /// Copies the core's counters into `profile`: the per-frame buffers
+    /// reused and allocated (the profiling story's "allocations avoided"
+    /// evidence) and the commit loop's work.
+    pub(crate) fn record_counters(&self, profile: &mut HotPathProfile) {
+        profile.arena_reuses = self.arena_reuses;
+        profile.arena_allocs = self.arena_allocs;
+        profile.commits = self.commits;
+        profile.selections = self.selections;
+        profile.head_scans = self.head_scans;
+        profile.fallback_scans = self.fallback_scans;
+    }
+
+    /// Recomputes the head-table entries of the frame in `slot` on every
+    /// way `a` for which `stale(a, head_ready)` holds.
+    fn refresh_heads(&mut self, slot: usize, stale: impl Fn(usize, f64) -> bool) {
+        let frame = self.frames[slot]
+            .as_ref()
+            .expect("the head table covers in-flight frames");
+        let graph = frame.graph.get();
+        let row = slot * self.acc_free.len();
+        for (a, queue) in frame.schedule.get().order().iter().enumerate() {
+            let i = row + a;
+            if !stale(a, self.head_ready[i]) {
+                continue;
+            }
+            let Some(&t) = queue.get(frame.head[a]) else {
+                self.head_ready[i] = EXHAUSTED;
+                continue;
+            };
+            self.head_scans += 1;
+            self.head_task[i] = t;
+            self.head_ready[i] = graph
+                .deps(t)
+                .iter()
+                .try_fold(frame.arrival_s, |ready, d| {
+                    Some(ready.max(frame.finish[d.0]?))
+                })
+                .unwrap_or(BLOCKED);
+        }
     }
 
     /// The best next commit: the ready queue head with the earliest
@@ -428,23 +497,24 @@ impl<'a> EventCore<'a> {
     /// the loop deterministic and, for a single frame, byte-identical to
     /// the historical replay order).
     ///
-    /// A tournament over the per-frame `frame_best` memos (ranked by
-    /// ready) runs first; only the frames invalidated by the last commit
-    /// are rescanned. Let `r` be its winner's ready time. Every other
-    /// candidate is ready at or after `r`, and occupancy only falls after
-    /// the clock, so when `r` is at or after the clock and
-    /// `occupancy(r) + occ_cap` fits the buffer, every candidate's
-    /// feasible start *is* its ready time. The tournament winner is then
-    /// the flat scan's winner, ties included: both resolve them
-    /// first-found in (admission order, way order). Otherwise the exact
-    /// flat scan runs.
+    /// The earliest-ready head comes first, from the head table: the
+    /// first strict minimum of `max(head_ready, acc_free[way])`, which is
+    /// the (admission order, way order) tie order. Let `r` be its ready
+    /// time. Every other candidate is ready at or after `r`, and
+    /// occupancy only falls after the clock, so when `r` is at or after
+    /// the clock and `occupancy(r) + occ_cap` fits the buffer, every
+    /// candidate's feasible start *is* its ready time and the
+    /// earliest-ready head wins. Otherwise the memory-aware flat scan
+    /// over the same table settles it.
     fn select_best(&mut self) -> Option<(f64, usize, usize, TaskId)> {
-        let best = match self.tournament() {
+        self.selections += 1;
+        let best = match self.scan_heads(|ready, _, _| ready) {
             Some((r, ..))
                 if r < self.clock
                     || occupancy_after(r, &self.acc_free, &self.way_occ) + self.occ_cap
                         > self.acc.global_buffer_bytes() =>
             {
+                self.fallback_scans += 1;
                 self.select_best_scan()
             }
             best => best,
@@ -454,65 +524,18 @@ impl<'a> EventCore<'a> {
         best
     }
 
-    /// The earliest-ready queue head over every frame, through the
-    /// `frame_best` memos.
-    fn tournament(&mut self) -> Option<(f64, usize, usize, TaskId)> {
-        let mut best: Option<(f64, usize, usize, TaskId)> = None;
-        for idx in 0..self.active.len() {
-            let fi = self.active[idx];
-            let cand = match self.frame_best[fi] {
-                Some(cand) => cand,
-                None => {
-                    let cand = self.frame_best_compute(fi);
-                    self.frame_best[fi] = Some(cand);
-                    cand
-                }
-            };
-            let Some((ready, a, t)) = cand else { continue };
-            match &best {
-                Some((s, _, _, _)) if *s <= ready => {}
-                _ => best = Some((ready, fi, a, t)),
-            }
-        }
-        best
-    }
-
-    /// Frame `fi`'s best unblocked queue head by ready time (first way
-    /// wins ties) — the memo behind the tournament in
-    /// [`EventCore::select_best`].
-    fn frame_best_compute(&self, fi: usize) -> Option<(f64, usize, TaskId)> {
-        let frame = self.frames[fi].as_ref()?;
-        if frame.remaining == 0 {
-            return None;
-        }
-        let graph = frame.graph.get();
-        let schedule = frame.schedule.get();
-        let mut best: Option<(f64, usize, TaskId)> = None;
-        'ways: for (a, queue) in schedule.order().iter().enumerate() {
-            if frame.head[a] >= queue.len() {
-                continue;
-            }
-            let t = queue[frame.head[a]];
-            let mut ready = frame.arrival_s.max(self.acc_free[a]);
-            for &d in graph.deps(t) {
-                match frame.finish[d.0] {
-                    Some(fin) => ready = ready.max(fin),
-                    None => continue 'ways,
-                }
-            }
-            match &best {
-                Some((r, _, _)) if *r <= ready => {}
-                _ => best = Some((ready, a, t)),
-            }
-        }
-        best
-    }
-
     /// The exact flat candidate scan, the fallback under memory pressure:
-    /// each candidate starts at `max(ready, memory_floor(occ))`.
+    /// each candidate starts at `max(ready, memory_floor(occ))`. Costs
+    /// come from each frame's precomputed table — the scan clones
+    /// nothing.
     fn select_best_scan(&self) -> Option<(f64, usize, usize, TaskId)> {
         let gb = self.acc.global_buffer_bytes();
-        self.scan(|ready, occ| {
+        let staging_cap = self.staging_cap();
+        self.scan_heads(|ready, slot, t| {
+            let frame = self.frames[slot]
+                .as_ref()
+                .expect("active slots hold frames");
+            let occ = frame.costs[t.0].buffer.occupancy_bytes(staging_cap);
             ready.max(memory_floor(
                 self.clock,
                 occ,
@@ -523,28 +546,56 @@ impl<'a> EventCore<'a> {
         })
     }
 
-    /// The flat scan under the full-interval semantics: each candidate
-    /// starts at [`earliest_memory_feasible`] over the debug interval
-    /// log. While the whole log plus the candidate fits the buffer, that
-    /// query's first probe succeeds, so it is skipped.
+    /// The first strict minimum, in (admission order, way order), of
+    /// `start_at(ready, slot, task)` over the head table, where `ready`
+    /// is `max(head_ready, acc_free[way])` and `start_at` never returns
+    /// less than `ready`.
+    fn scan_heads(
+        &self,
+        start_at: impl Fn(f64, usize, TaskId) -> f64,
+    ) -> Option<(f64, usize, usize, TaskId)> {
+        let ways = self.acc_free.len();
+        let mut best: Option<(f64, usize, usize, TaskId)> = None;
+        let mut best_start = f64::INFINITY;
+        for &slot in &self.active {
+            let row = slot * ways;
+            let heads = self.head_ready[row..row + ways].iter().zip(&self.acc_free);
+            for (a, (&head, &free)) in heads.enumerate() {
+                // A head starts no earlier than it is ready, so one ready
+                // at or after the incumbent's start cannot win (ties keep
+                // the incumbent). `BLOCKED` and `EXHAUSTED` never pass.
+                if head < best_start {
+                    let ready = head.max(free);
+                    if ready < best_start {
+                        let t = self.head_task[row + a];
+                        let start = start_at(ready, slot, t);
+                        if start < best_start {
+                            best_start = start;
+                            best = Some((start, slot, a, t));
+                        }
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    /// The flat scan under the full-interval semantics, walking every
+    /// queue head's dependence list instead of the head table: each
+    /// candidate starts at [`earliest_memory_feasible`] over the debug
+    /// interval log. While the whole log plus the candidate fits the
+    /// buffer, that query's first probe succeeds, so it is skipped.
     #[cfg(debug_assertions)]
     fn select_best_reference(&self) -> Option<(f64, usize, usize, TaskId)> {
         let gb = self.acc.global_buffer_bytes();
         let logged: u64 = self.intervals.iter().map(|(_, _, o)| o).sum();
-        self.scan(|ready, occ| {
+        let start_at = |ready: f64, occ: u64| {
             if logged + occ <= gb {
                 ready
             } else {
                 earliest_memory_feasible(ready, occ, gb, &self.intervals)
             }
-        })
-    }
-
-    /// The ready queue head with the earliest start, where `start_at`
-    /// maps a candidate's `(ready, occupancy_bytes)` to its start. Costs
-    /// come from each frame's precomputed table — the scan clones
-    /// nothing.
-    fn scan(&self, start_at: impl Fn(f64, u64) -> f64) -> Option<(f64, usize, usize, TaskId)> {
+        };
         let staging_cap = self.staging_cap();
         let mut best: Option<(f64, usize, usize, TaskId)> = None;
         for &fi in &self.active {
@@ -596,8 +647,9 @@ impl<'a> EventCore<'a> {
         best
     }
 
-    /// [`EventCore::select_best`] through the memo: reuses the last scan
-    /// when nothing that can change its outcome happened since.
+    /// [`EventCore::select_best`] through `best_cache`: reuses the last
+    /// selection when no admit or commit happened since, and runs (and
+    /// counts) a new one otherwise.
     fn cached_select_best(&mut self) -> Option<(f64, usize, usize, TaskId)> {
         if let Some(cached) = self.best_cache {
             #[cfg(debug_assertions)]
@@ -648,19 +700,7 @@ impl<'a> EventCore<'a> {
 
     fn commit(&mut self, start: f64, fi: usize, a: usize, t: TaskId) {
         self.best_cache = None;
-        // Tournament memo invalidation: this frame's heads/deps changed,
-        // and `acc_free[a]` moved — which can only *worsen* way-`a`
-        // candidates, so a frame whose memoized best sits on another way
-        // keeps its exact best (and an all-blocked frame stays blocked:
-        // only its own commits resolve deps).
-        self.frame_best[fi] = None;
-        for &other in &self.active {
-            if let Some(Some((_, way, _))) = self.frame_best[other] {
-                if way == a {
-                    self.frame_best[other] = None;
-                }
-            }
-        }
+        self.commits += 1;
         let staging_cap = self.staging_cap();
         // Copy the committed task's cost scalars out first so the frame
         // can be mutably borrowed below.
@@ -711,6 +751,10 @@ impl<'a> EventCore<'a> {
             energy_j: energy.total_j(),
         });
         self.remaining_total -= 1;
+        // Way `a` has a new head, and `t`'s finish may unblock the
+        // frame's blocked heads; every other entry of every frame keeps
+        // its value.
+        self.refresh_heads(fi, |way, head| way == a || head == BLOCKED);
 
         self.per_acc[a].layers += 1;
         self.per_acc[a].busy_s += dur;
@@ -776,7 +820,6 @@ impl<'a> EventCore<'a> {
         // buffer travels with the result (the caller may hand it back via
         // `recycle_entries`).
         self.active.retain(|&i| i != frame);
-        self.frame_best[frame] = None;
         self.free.push(frame);
         self.head_pool.push(f.head);
         self.finish_pool.push(f.finish);
@@ -1256,6 +1299,400 @@ mod tests {
                     earliest_memory_feasible(t, occ, gb, &pruned)
                 );
             }
+        }
+    }
+
+    /// A random multi-instance workload: each model is a chain of small
+    /// convolutions plus random skip edges to earlier layers.
+    fn random_workload(rng: &mut SplitMix64) -> herald_workloads::MultiDnnWorkload {
+        use herald_models::{LayerDims, LayerId, LayerOp, ModelBuilder};
+        let mut workload = herald_workloads::MultiDnnWorkload::new("random");
+        for m in 0..rng.gen_range(1, 4) {
+            let mut model = ModelBuilder::new(format!("m{m}"));
+            for l in 0..rng.gen_range(1, 7) {
+                let k = [4, 8, 16, 32][rng.gen_range(0, 4)];
+                let c = [3, 8, 16][rng.gen_range(0, 3)];
+                let side = [7, 14, 28][rng.gen_range(0, 3)];
+                let deps: Vec<LayerId> = (0..l)
+                    .filter(|&d| d + 1 == l || rng.gen_range(0, 3) == 0)
+                    .map(LayerId)
+                    .collect();
+                model = model.layer_with_deps(
+                    format!("l{l}"),
+                    LayerOp::Conv2d,
+                    LayerDims::conv(k, c, side, side, 3, 3).with_pad(1),
+                    &deps,
+                );
+            }
+            workload = workload.with_model(model.build().unwrap(), rng.gen_range(1, 3));
+        }
+        workload
+    }
+
+    /// A random valid schedule on `ways` ways: a random assignment, with
+    /// every queue in the order of one random topological order of the
+    /// graph, so the earliest queue head in that order is never blocked.
+    fn random_schedule(rng: &mut SplitMix64, graph: &TaskGraph, ways: usize) -> Schedule {
+        let assignment: Vec<usize> = graph.ids().map(|_| rng.gen_range(0, ways)).collect();
+        let mut order = vec![Vec::new(); ways];
+        let mut placed = vec![false; graph.len()];
+        loop {
+            let ready: Vec<TaskId> = graph
+                .ids()
+                .filter(|&t| !placed[t.0] && graph.deps(t).iter().all(|d| placed[d.0]))
+                .collect();
+            if ready.is_empty() {
+                break;
+            }
+            let t = ready[rng.gen_range(0, ready.len())];
+            placed[t.0] = true;
+            order[assignment[t.0]].push(t);
+        }
+        Schedule::new(assignment, order).unwrap()
+    }
+
+    /// One frame of [`Oracle`]: queue positions and finish times only.
+    struct OracleFrame {
+        slot: usize,
+        graph: Arc<TaskGraph>,
+        schedule: Arc<Schedule>,
+        costs: CostTable,
+        arrival_s: f64,
+        head: Vec<usize>,
+        finish: Vec<Option<f64>>,
+        /// `(task, way, start, finish)` in commit order.
+        commits: Vec<(TaskId, usize, f64, f64)>,
+    }
+
+    /// A brute-force model of Sec. IV-A with no head table, memo or
+    /// per-way occupancy: frames in admission order, each way's free
+    /// time, and every interval ever committed.
+    struct Oracle {
+        frames: Vec<OracleFrame>,
+        acc_free: Vec<f64>,
+        intervals: Vec<(f64, f64, u64)>,
+        gb: u64,
+        staging_cap: u64,
+    }
+
+    impl Oracle {
+        /// Every queue head whose dependences have all finished, started
+        /// at its earliest memory-feasible time over the full interval
+        /// list; the first one found with the earliest start wins.
+        fn pick(&self) -> Option<(f64, usize, usize, TaskId)> {
+            let mut best: Option<(f64, usize, usize, TaskId)> = None;
+            for f in &self.frames {
+                for (a, queue) in f.schedule.order().iter().enumerate() {
+                    let Some(&t) = queue.get(f.head[a]) else {
+                        continue;
+                    };
+                    let deps: Option<Vec<f64>> =
+                        f.graph.deps(t).iter().map(|d| f.finish[d.0]).collect();
+                    let Some(deps) = deps else {
+                        continue;
+                    };
+                    let ready = deps
+                        .into_iter()
+                        .fold(f.arrival_s.max(self.acc_free[a]), f64::max);
+                    let occ = f.costs[t.0].buffer.occupancy_bytes(self.staging_cap);
+                    let start = earliest_memory_feasible(ready, occ, self.gb, &self.intervals);
+                    if best.is_none_or(|(s, ..)| start < s) {
+                        best = Some((start, f.slot, a, t));
+                    }
+                }
+            }
+            best
+        }
+
+        fn commit(&mut self, (start, slot, a, t): (f64, usize, usize, TaskId)) {
+            let f = self.frames.iter_mut().find(|f| f.slot == slot).unwrap();
+            let cost = &f.costs[t.0];
+            let fin = start + cost.latency_s;
+            let occ = cost.buffer.occupancy_bytes(self.staging_cap);
+            self.intervals.push((start, fin, occ));
+            self.acc_free[a] = fin;
+            f.head[a] += 1;
+            f.finish[t.0] = Some(fin);
+            f.commits.push((t, a, start, fin));
+        }
+    }
+
+    /// Checks the core against the oracle: the same frames in the same
+    /// order, the same commits per frame, and every head-table entry
+    /// equal to a recomputation from the oracle's dependence lists and
+    /// finish times. Returns the (blocked, exhausted) entries seen.
+    fn assert_matches_oracle(core: &EventCore<'_>, oracle: &Oracle, case: usize) -> (usize, usize) {
+        let ways = oracle.acc_free.len();
+        let slots: Vec<usize> = oracle.frames.iter().map(|f| f.slot).collect();
+        assert_eq!(core.active, slots, "case {case}");
+        assert_eq!(core.acc_free, oracle.acc_free, "case {case}");
+        let (mut blocked, mut exhausted) = (0, 0);
+        for f in &oracle.frames {
+            let frame = core.frames[f.slot].as_ref().unwrap();
+            let commits: Vec<_> = frame
+                .entries
+                .iter()
+                .map(|e| (e.task, e.acc, e.start_s, e.finish_s))
+                .collect();
+            assert_eq!(commits, f.commits, "case {case}, slot {}", f.slot);
+            for (a, queue) in f.schedule.order().iter().enumerate() {
+                let i = f.slot * ways + a;
+                let entry = core.head_ready[i];
+                let Some(&t) = queue.get(f.head[a]) else {
+                    exhausted += 1;
+                    assert!(entry.is_nan(), "case {case}, slot {}, way {a}", f.slot);
+                    continue;
+                };
+                assert_eq!(
+                    core.head_task[i], t,
+                    "case {case}, slot {}, way {a}",
+                    f.slot
+                );
+                let deps: Vec<Option<f64>> =
+                    f.graph.deps(t).iter().map(|d| f.finish[d.0]).collect();
+                let expected = if deps.contains(&None) {
+                    blocked += 1;
+                    f64::INFINITY
+                } else {
+                    deps.into_iter().flatten().fold(f.arrival_s, f64::max)
+                };
+                assert_eq!(
+                    entry.to_bits(),
+                    expected.to_bits(),
+                    "case {case}, slot {}, way {a}",
+                    f.slot
+                );
+            }
+        }
+        (blocked, exhausted)
+    }
+
+    /// `run_until`'s loop one commit at a time: the commits made, in
+    /// order, up to `limit`.
+    fn commit_sequence(core: &mut EventCore<'_>, limit: f64) -> Vec<(f64, usize, usize, TaskId)> {
+        let mut commits = Vec::new();
+        while let Some(pick) = core.cached_select_best().filter(|p| p.0 <= limit) {
+            core.commit(pick.0, pick.1, pick.2, pick.3);
+            commits.push(pick);
+        }
+        commits
+    }
+
+    #[test]
+    fn head_table_and_commit_order_match_a_brute_force_oracle() {
+        // Independent oracle, checked in release builds too: random
+        // workloads and schedules on 2-4 ways, frames admitted in bursts
+        // at one instant, `run_until` at random limits, harvests at
+        // random. After every step the head table equals a
+        // recomputation, and every commit is the oracle's pick.
+        use herald_arch::{HardwareResources, Partition};
+        use herald_dataflow::DataflowStyle;
+
+        let mut rng = SplitMix64::seed_from_u64(0x4EAD_7AB1_E018);
+        let cost = CostModel::default();
+        let (mut stepped, mut fallbacks, mut reused, mut blocked, mut exhausted) = (0, 0, 0, 0, 0);
+        for case in 0..24 {
+            let ways = rng.gen_range(2, 5);
+            let gb: u64 = [4 << 20, 64 << 10, 16 << 10][rng.gen_range(0, 3)];
+            let res = HardwareResources::new(1024, 16.0, gb);
+            let acc = if ways <= DataflowStyle::ALL.len() {
+                let partition = Partition::even(ways, res.pes, res.bandwidth_gbps);
+                AcceleratorConfig::hda(&DataflowStyle::ALL[..ways], res, partition).unwrap()
+            } else {
+                AcceleratorConfig::sm_fda(DataflowStyle::Nvdla, ways, res).unwrap()
+            };
+            let jobs: Vec<(Arc<TaskGraph>, Arc<Schedule>, CostTable)> = (0..rng.gen_range(1, 4))
+                .map(|_| {
+                    let graph = TaskGraph::new(&random_workload(&mut rng));
+                    let schedule = random_schedule(&mut rng, &graph, ways);
+                    let costs = build_cost_table(&graph, &schedule, &acc, &cost, Metric::Edp);
+                    (Arc::new(graph), Arc::new(schedule), costs)
+                })
+                .collect();
+            // Limits move in steps of about one layer.
+            let tick = jobs[0].2.iter().map(|c| c.latency_s).sum::<f64>() / jobs[0].2.len() as f64;
+            let mut core = EventCore::new(&acc);
+            let mut oracle = Oracle {
+                frames: Vec::new(),
+                acc_free: vec![0.0; ways],
+                intervals: Vec::new(),
+                gb,
+                staging_cap: gb / STAGING_FRACTION,
+            };
+            let mut now = 0.0;
+            for step in 0..48 {
+                let drain = step == 47;
+                match rng.gen_range(0, 4) {
+                    0 if !drain => {
+                        for _ in 0..rng.gen_range(1, 4) {
+                            let (graph, schedule, costs) =
+                                jobs[rng.gen_range(0, jobs.len())].clone();
+                            let slot = core
+                                .admit_with_costs(
+                                    GraphRef::Shared(Arc::clone(&graph)),
+                                    ScheduleRef::Shared(Arc::clone(&schedule)),
+                                    costs.clone(),
+                                    now,
+                                )
+                                .unwrap();
+                            reused += usize::from(slot + 1 < core.frames.len());
+                            oracle.frames.push(OracleFrame {
+                                slot,
+                                head: vec![0; ways],
+                                finish: vec![None; graph.len()],
+                                commits: Vec::new(),
+                                arrival_s: now,
+                                graph,
+                                schedule,
+                                costs,
+                            });
+                        }
+                    }
+                    1 if !drain => {
+                        let done: Vec<usize> = oracle
+                            .frames
+                            .iter()
+                            .filter(|f| f.finish.iter().all(Option::is_some))
+                            .map(|f| f.slot)
+                            .collect();
+                        for f in &oracle.frames {
+                            assert_eq!(core.frame_done(f.slot), done.contains(&f.slot));
+                        }
+                        for slot in done {
+                            core.take_frame(slot);
+                        }
+                        oracle
+                            .frames
+                            .retain(|f| f.finish.iter().any(Option::is_none));
+                    }
+                    _ => {
+                        let limit = if drain {
+                            f64::INFINITY
+                        } else {
+                            now + tick * rng.gen_range(0, 12) as f64 / 4.0
+                        };
+                        let stepwise = rng.gen_range(0, 2) == 0;
+                        let mut expected = Vec::new();
+                        while let Some(pick) = oracle.pick().filter(|p| p.0 <= limit) {
+                            oracle.commit(pick);
+                            expected.push(pick);
+                        }
+                        if stepwise {
+                            assert_eq!(commit_sequence(&mut core, limit), expected, "case {case}");
+                            stepped += expected.len();
+                        } else {
+                            core.run_until(limit).unwrap();
+                        }
+                        assert_eq!(core.cached_select_best(), oracle.pick(), "case {case}");
+                        if !drain {
+                            now = limit;
+                        }
+                    }
+                }
+                let (b, e) = assert_matches_oracle(&core, &oracle, case);
+                blocked += b;
+                exhausted += e;
+            }
+            assert_eq!(core.total_remaining(), 0, "case {case}");
+            fallbacks += core.fallback_scans;
+        }
+        // The cases reach every state the table and the selection have.
+        assert!(
+            stepped > 0 && fallbacks > 0 && reused > 0,
+            "{stepped} {fallbacks} {reused}"
+        );
+        assert!(blocked > 0 && exhausted > 0, "{blocked} {exhausted}");
+    }
+
+    #[test]
+    fn ties_go_to_the_earlier_admission_then_the_lower_way() {
+        // Pinned: two identical two-task frames and a fork frame, all
+        // admitted at 0 on two identical ways. The fork's `l1` (way 0)
+        // and `l2` (way 1) both wait on `l0` and become ready together.
+        use herald_arch::AcceleratorClass;
+        use herald_dataflow::DataflowStyle;
+        use herald_models::{LayerDims, LayerId, LayerOp, ModelBuilder};
+
+        let acc =
+            AcceleratorConfig::sm_fda(DataflowStyle::Nvdla, 2, AcceleratorClass::Edge.resources())
+                .unwrap();
+        let dims = LayerDims::conv(16, 8, 14, 14, 3, 3).with_pad(1);
+        let one = ModelBuilder::new("one")
+            .chain("l0", LayerOp::Conv2d, dims)
+            .build()
+            .unwrap();
+        let pair = TaskGraph::new(&herald_workloads::single_model(one, 2));
+        let pair_schedule =
+            Schedule::new(vec![0, 1], vec![vec![TaskId(0)], vec![TaskId(1)]]).unwrap();
+        let fork_model = ModelBuilder::new("fork")
+            .chain("l0", LayerOp::Conv2d, dims)
+            .chain("l1", LayerOp::Conv2d, dims)
+            .layer_with_deps("l2", LayerOp::Conv2d, dims, &[LayerId(0)])
+            .build()
+            .unwrap();
+        let fork = TaskGraph::new(&herald_workloads::single_model(fork_model, 1));
+        let fork_schedule = Schedule::new(
+            vec![0, 0, 1],
+            vec![vec![TaskId(0), TaskId(1)], vec![TaskId(2)]],
+        )
+        .unwrap();
+        let cost = CostModel::default();
+        let pair_costs = build_cost_table(&pair, &pair_schedule, &acc, &cost, Metric::Edp);
+        let fork_costs = build_cost_table(&fork, &fork_schedule, &acc, &cost, Metric::Edp);
+        let d = pair_costs[0].latency_s;
+        assert_eq!(pair_costs[1].latency_s, d, "identical ways");
+        let frames = [
+            (&pair, &pair_schedule, &pair_costs),
+            (&pair, &pair_schedule, &pair_costs),
+            (&fork, &fork_schedule, &fork_costs),
+        ];
+        fn admit_all<'a>(
+            core: &mut EventCore<'a>,
+            frames: &[(&'a TaskGraph, &'a Schedule, &CostTable); 3],
+        ) -> [usize; 3] {
+            frames.map(|(g, s, c)| {
+                core.admit_with_costs(
+                    GraphRef::Borrowed(g),
+                    ScheduleRef::Borrowed(s),
+                    c.clone(),
+                    0.0,
+                )
+                .unwrap()
+            })
+        }
+        let mut core = EventCore::new(&acc);
+        let [a, b, c] = admit_all(&mut core, &frames);
+        let t1 = 0.0 + d;
+        let t2 = t1 + d;
+        let t3 = t2 + fork_costs[0].latency_s;
+        let expected = vec![
+            // Four heads ready at 0: frame `a` first, way 0 first.
+            (0.0, a, 0, TaskId(0)),
+            (0.0, a, 1, TaskId(1)),
+            // Way 0 frees at t1 for `b` and the fork's `l0`: `b` first.
+            (t1, b, 0, TaskId(0)),
+            (t1, b, 1, TaskId(1)),
+            (t2, c, 0, TaskId(0)),
+            // `l0` finishes at t3 and frees both of its consumers.
+            (t3, c, 0, TaskId(1)),
+            (t3, c, 1, TaskId(2)),
+        ];
+        assert_eq!(commit_sequence(&mut core, f64::INFINITY), expected);
+        // `run_until` makes the same commits.
+        let mut whole = EventCore::new(&acc);
+        admit_all(&mut whole, &frames);
+        whole.run_until(f64::INFINITY).unwrap();
+        for slot in [a, b, c] {
+            let entries = |core: &EventCore<'_>| -> Vec<(TaskId, usize, f64, f64)> {
+                core.frames[slot]
+                    .as_ref()
+                    .unwrap()
+                    .entries
+                    .iter()
+                    .map(|e| (e.task, e.acc, e.start_s, e.finish_s))
+                    .collect()
+            };
+            assert_eq!(entries(&whole), entries(&core), "slot {slot}");
         }
     }
 }

@@ -1268,9 +1268,7 @@ impl<'a> StreamSimulator<'a> {
         profile.fingerprint_hits = stats_after.fingerprint_hits - stats_before.fingerprint_hits;
         profile.fingerprint_collisions =
             stats_after.fingerprint_collisions - stats_before.fingerprint_collisions;
-        let (arena_reuses, arena_allocs) = core.arena_counters();
-        profile.arena_reuses = arena_reuses;
-        profile.arena_allocs = arena_allocs;
+        core.record_counters(&mut profile);
         profile.mem.frame_bytes =
             (col.frames.capacity() * std::mem::size_of::<FrameRecord>()) as u64;
         profile.mem.span_bytes = (busy_spans.capacity() * std::mem::size_of::<BusySpan>()) as u64;
@@ -2284,6 +2282,54 @@ mod tests {
                 .stream(StreamSpec::periodic("s", w(), 10.0).with_token_workloads(vec![w()])),
             "token workloads on a non-chained stream",
         );
+    }
+
+    #[test]
+    fn commit_work_counters_are_exact_and_deterministic() {
+        // On a 16 KiB buffer layer working sets collide and the
+        // memory-aware scan settles some selections; on 4 MiB none does.
+        let scenario = Scenario::new("work", 0.04)
+            .stream(StreamSpec::periodic("a", tiny_workload(), 120.0))
+            .stream(StreamSpec::periodic(
+                "b",
+                single_model(zoo::mobilenet_v2(), 1),
+                90.0,
+            ))
+            .stream(StreamSpec::poisson("c", tiny_workload(), 100.0, 7));
+        let tasks: Vec<u64> = scenario
+            .streams()
+            .iter()
+            .map(|s| s.workload().total_layers() as u64)
+            .collect();
+        let edge = AcceleratorClass::Edge.resources();
+        let cost = CostModel::default();
+        for (gb, fallback) in [(4 << 20, false), (16 << 10, true)] {
+            let res = herald_arch::HardwareResources::new(edge.pes, edge.bandwidth_gbps, gb);
+            let acc = AcceleratorConfig::maelstrom(
+                res,
+                herald_arch::Partition::even(2, res.pes, res.bandwidth_gbps),
+            )
+            .unwrap();
+            let run = || {
+                StreamSimulator::new(&acc, &cost)
+                    .simulate_profiled(&HeraldScheduler::default(), &scenario)
+                    .unwrap()
+            };
+            let work =
+                |p: &HotPathProfile| (p.commits, p.selections, p.head_scans, p.fallback_scans);
+            let (report, p) = run();
+            let admitted: u64 = report.frames().iter().map(|f| tasks[f.stream]).sum();
+            assert_eq!(p.admissions, report.frames().len() as u64, "{gb} B");
+            assert_eq!(p.commits, admitted, "{gb} B");
+            // A commit stales the last selection, so each commit follows
+            // a fresh one; the probes that stop at an arrival add more.
+            assert!(p.selections > p.commits, "{gb} B");
+            // Every task is scanned at least once as a queue head.
+            assert!(p.head_scans >= p.commits, "{gb} B");
+            assert_eq!(p.fallback_scans > 0, fallback, "{gb} B");
+            assert!(p.fallback_scans <= p.selections, "{gb} B");
+            assert_eq!(work(&run().1), work(&p), "{gb} B");
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! [`HotPathProfile`] is the `EvalStats`-style counter set of the
 //! streaming hot path: how many allocations the arenas avoided, how
 //! often the fingerprint fast path served a memo hit, how arrivals
-//! batched into commit windows, and where wall-clock time went per
-//! phase. It is returned *beside* the [`crate::sim::StreamReport`] (see
+//! batched into commit windows, how much work the event core's commit
+//! loop did, and where wall-clock time went per phase. It is returned
+//! *beside* the [`crate::sim::StreamReport`] (see
 //! `StreamSimulator::simulate_profiled`), never inside it, so report
 //! equality — the backbone of the bit-identity test suite — is
 //! unaffected by timing noise.
@@ -117,6 +118,17 @@ pub struct HotPathProfile {
     pub arena_reuses: u64,
     /// Per-frame buffers freshly allocated (pool empty).
     pub arena_allocs: u64,
+    /// Tasks the event core committed.
+    pub commits: u64,
+    /// Candidate scans the event core ran: selections not served from
+    /// its last-selection memo.
+    pub selections: u64,
+    /// Dependence-list walks behind the event core's head table: one per
+    /// queue head on admission and per head a commit can change.
+    pub head_scans: u64,
+    /// Selections settled by the memory-aware flat scan, because the
+    /// earliest-ready head might not fit the global buffer in time.
+    pub fallback_scans: u64,
     /// Wall-clock nanoseconds compiling schedules (zero unless
     /// profiled).
     pub compile_ns: u64,
@@ -155,6 +167,10 @@ impl HotPathProfile {
         self.cost_table_entries += other.cost_table_entries;
         self.arena_reuses += other.arena_reuses;
         self.arena_allocs += other.arena_allocs;
+        self.commits += other.commits;
+        self.selections += other.selections;
+        self.head_scans += other.head_scans;
+        self.fallback_scans += other.fallback_scans;
         self.compile_ns += other.compile_ns;
         self.admit_ns += other.admit_ns;
         self.run_ns += other.run_ns;
@@ -193,6 +209,10 @@ mod tests {
             max_batch_events: 3,
             arena_reuses: 6,
             arena_allocs: 2,
+            commits: 9,
+            selections: 11,
+            head_scans: 13,
+            fallback_scans: 1,
             walk_ns: 7,
             ..Default::default()
         };
@@ -202,12 +222,20 @@ mod tests {
             max_batch_events: 5,
             arena_reuses: 2,
             arena_allocs: 0,
+            commits: 3,
+            selections: 4,
+            head_scans: 5,
+            fallback_scans: 2,
             walk_ns: 4,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.events, 15);
         assert_eq!(a.walk_ns, 11);
+        assert_eq!(
+            (a.commits, a.selections, a.head_scans, a.fallback_scans),
+            (12, 15, 18, 3)
+        );
         assert_eq!(a.admission_batches, 5);
         assert_eq!(a.max_batch_events, 5);
         assert!((a.arena_reuse_rate() - 0.8).abs() < 1e-12);
