@@ -290,8 +290,8 @@ pub fn print_eval_snapshot(title: &str, s: &EvalSnapshot) {
         s.placement_evals, s.scheduler_runs, s.schedule_cache_hits, s.dedup_skips
     );
     println!(
-        "  fingerprint probes {} (hits {}, collisions {})",
-        s.fingerprint_lookups, s.fingerprint_hits, s.fingerprint_collisions
+        "  fingerprint probes {} (hits {}, collisions {})  verify graph walks {}",
+        s.fingerprint_lookups, s.fingerprint_hits, s.fingerprint_collisions, s.verify_graph_walks
     );
 }
 
@@ -314,6 +314,10 @@ pub fn print_profile(title: &str, p: &HotPathProfile) {
         p.fingerprint_lookups,
         p.fingerprint_hits,
         p.fingerprint_collisions
+    );
+    println!(
+        "  verify graph walks {}  deep schedule compares {}",
+        p.verify_graph_walks, p.schedule_deep_compares
     );
     println!(
         "  precomputed graph fingerprints {}  cost tables {} ({} entries)",

@@ -349,7 +349,8 @@ pub struct ControlView<'a> {
     /// The per-action reconfiguration costs.
     pub costs: ActionCosts,
     pub(crate) estimator: &'a sim::Estimator,
-    pub(crate) versions: &'a [usize],
+    /// Each stream's walk row (its current workload version).
+    pub(crate) streams: &'a [crate::fleet::WalkRow],
 }
 
 impl ControlView<'_> {
@@ -370,10 +371,8 @@ impl ControlView<'_> {
     /// configuration.
     pub fn estimate(&self, stream: usize, config: &AcceleratorConfig) -> Result<f64, HeraldError> {
         let row = self.estimator.config_row(config);
-        self.estimator.rate(
-            row,
-            self.estimator.workload_index(stream, self.versions[stream]),
-        )
+        self.estimator
+            .rate(row, self.streams[stream].workload as usize)
     }
 }
 

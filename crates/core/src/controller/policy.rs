@@ -456,6 +456,7 @@ mod tests {
     use super::*;
     use crate::controller::sim::Estimator;
     use crate::controller::{ActionCosts, ChipStatus, ChipTelemetry, ControlView};
+    use crate::fleet::WalkRow;
     use crate::sched::SchedulerConfig;
     use herald_arch::AcceleratorClass;
     use herald_dataflow::DataflowStyle;
@@ -494,7 +495,7 @@ mod tests {
 
     fn view_fixture<'a>(
         est: &'a Estimator,
-        versions: &'a [usize],
+        streams: &'a [WalkRow],
         pins: &'a [Option<usize>],
         chips: Vec<ChipStatus>,
     ) -> ControlView<'a> {
@@ -513,7 +514,7 @@ mod tests {
                 repartition_s: 0.0,
             },
             estimator: est,
-            versions,
+            streams,
         }
     }
 
@@ -521,9 +522,9 @@ mod tests {
     fn autoscaler_scales_on_band_crossings_with_cooldown() {
         let scenario = two_stream_scenario();
         let est = Estimator::new(&scenario, SchedulerConfig::default());
-        let versions = vec![0usize; 2];
+        let streams = est.workloads.walk_rows(&scenario);
         let pins = vec![None; 2];
-        let view = view_fixture(&est, &versions, &pins, Vec::new());
+        let view = view_fixture(&est, &streams, &pins, Vec::new());
         let mut ctl = ThresholdAutoscaler::new(0.10, 0.01);
         let hot = vec![telem(0, 1.5, 10, 5)];
         let cold = vec![telem(0, 0.4, 10, 0), telem(1, 0.1, 10, 0)];
@@ -554,9 +555,9 @@ mod tests {
     fn autoscaler_mid_band_resets_sustain_streaks() {
         let scenario = two_stream_scenario();
         let est = Estimator::new(&scenario, SchedulerConfig::default());
-        let versions = vec![0usize; 2];
+        let streams = est.workloads.walk_rows(&scenario);
         let pins = vec![None; 2];
-        let view = view_fixture(&est, &versions, &pins, Vec::new());
+        let view = view_fixture(&est, &streams, &pins, Vec::new());
         let mut ctl = ThresholdAutoscaler::new(0.10, 0.01);
         ctl.sustain_epochs = 2;
         let hot = vec![telem(0, 1.5, 10, 5)];
@@ -573,7 +574,7 @@ mod tests {
     fn repartitioner_is_deterministic_quiet_in_band_and_cost_aware() {
         let scenario = two_stream_scenario();
         let est = Estimator::new(&scenario, SchedulerConfig::default());
-        let versions = vec![0usize; 2];
+        let streams = est.workloads.walk_rows(&scenario);
         let pins = vec![None; 2];
         let probe =
             AcceleratorConfig::fda(DataflowStyle::Nvdla, AcceleratorClass::Edge.resources());
@@ -605,7 +606,7 @@ mod tests {
         let mut calm_peer = telem(1, 0.2, 6, 0);
         calm_peer.stream_frames = vec![0, 6];
         let telemetry = vec![worst, calm_peer];
-        let view = view_fixture(&est, &versions, &pins, chips.clone());
+        let view = view_fixture(&est, &streams, &pins, chips.clone());
 
         let a = PredictiveRepartitioner::new(0.05)
             .decide(&telemetry, &view)
@@ -629,7 +630,7 @@ mod tests {
             .unwrap()
             .is_empty());
         // With prohibitive action costs no candidate pays for itself.
-        let mut costly = view_fixture(&est, &versions, &pins, chips);
+        let mut costly = view_fixture(&est, &streams, &pins, chips);
         costly.costs = ActionCosts {
             scale_up_s: 0.0,
             migrate_s: 1e9,

@@ -19,6 +19,7 @@ use crate::error::HeraldError;
 use crate::fleet::{
     distinct_workloads, service_estimates_with, AdmissionPolicy, ChipLoad, DispatchPolicy,
     Dispatcher, DroppedFrame, FleetConfig, FleetReport, FrameAssignment, FrameView,
+    ServiceEstimates, WalkRow, WorkloadIndex,
 };
 use crate::sched::{HeraldScheduler, IncrementalScheduler, Scheduler, SchedulerConfig};
 use crate::sim::engine::{
@@ -57,7 +58,7 @@ pub(crate) struct WalkParams {
 /// whole structure stays bit-deterministic.
 pub(crate) struct Estimator {
     pub(crate) graphs: Vec<TaskGraph>,
-    widx: Vec<Vec<usize>>,
+    pub(crate) workloads: WorkloadIndex,
     ctx: EvalContext,
     scheduler: IncrementalScheduler,
     #[allow(clippy::type_complexity)]
@@ -66,13 +67,13 @@ pub(crate) struct Estimator {
 
 impl Estimator {
     pub(crate) fn new(scenario: &Scenario, cfg: SchedulerConfig) -> Self {
-        let (distinct, widx) = distinct_workloads(scenario);
+        let (distinct, workloads) = distinct_workloads(scenario);
         let graphs = distinct.iter().map(|w| TaskGraph::new(w)).collect();
         let ctx = EvalContext::new();
         let scheduler = IncrementalScheduler::new(HeraldScheduler::new(cfg), ctx.clone());
         Self {
             graphs,
-            widx,
+            workloads,
             ctx,
             scheduler,
             rows: RefCell::new(Vec::new()),
@@ -87,11 +88,6 @@ impl Estimator {
         }
         rows.push((config.clone(), vec![None; self.graphs.len()]));
         rows.len() - 1
-    }
-
-    /// Distinct-workload index of a stream's workload version.
-    pub(crate) fn workload_index(&self, stream: usize, version: usize) -> usize {
-        self.widx[stream][version]
     }
 
     /// Estimated single-frame service time of distinct workload `widx`
@@ -114,15 +110,17 @@ impl Estimator {
         Ok(v)
     }
 
-    /// Bytes retained by the estimate cells (the lazy analogue of the
-    /// precomputed `[stream][version][chip]` table), for the walk's
+    /// Bytes retained by the workload index and the estimate cells (the
+    /// lazy analogue of the precomputed table), for the walk's
     /// [`crate::sim::MemProfile`] accounting.
     pub(crate) fn memory_bytes(&self) -> u64 {
-        self.rows
-            .borrow()
-            .iter()
-            .map(|(_, cells)| (cells.capacity() * std::mem::size_of::<Option<f64>>()) as u64)
-            .sum()
+        self.workloads.memory_bytes()
+            + self
+                .rows
+                .borrow()
+                .iter()
+                .map(|(_, cells)| (cells.capacity() * std::mem::size_of::<Option<f64>>()) as u64)
+                .sum::<u64>()
     }
 }
 
@@ -202,10 +200,22 @@ enum Estimates {
     /// The uncontrolled fast path: everything computed up front with a
     /// plain [`HeraldScheduler`] — exactly the PR-4 code path, kept
     /// verbatim so the static fleet stays bit-identical.
-    Precomputed(Vec<Vec<Vec<f64>>>),
+    Precomputed(ServiceEstimates),
     /// A live controller may add configurations mid-run, so estimates
     /// are served lazily per (configuration, workload).
     Lazy(Estimator),
+}
+
+impl Estimates {
+    /// The per-(stream, version) workload index the estimates are read
+    /// through (`None` when there are none).
+    fn workloads(&self) -> Option<&WorkloadIndex> {
+        match self {
+            Estimates::None => None,
+            Estimates::Precomputed(e) => Some(&e.workloads),
+            Estimates::Lazy(e) => Some(&e.workloads),
+        }
+    }
 }
 
 fn rebuilt_slot_pos(route: &[usize], n_slots: usize) -> Vec<Option<usize>> {
@@ -233,7 +243,7 @@ fn process_boundary(
     loads: &mut Vec<ChipLoad>,
     wins: &mut Vec<WindowAcc>,
     pins: &mut [Option<usize>],
-    version: &[usize],
+    streams: &[WalkRow],
     events: &mut Vec<ReconfigurationEvent>,
 ) -> Result<(), HeraldError> {
     let num_streams = scenario.streams().len();
@@ -282,7 +292,7 @@ fn process_boundary(
         pins,
         costs: cfg.costs(),
         estimator,
-        versions: version,
+        streams,
     };
     let actions = controller.decide(&telemetry, &view)?;
     drop(view);
@@ -556,7 +566,17 @@ pub(crate) fn simulate_controlled(
     let win_streams = if controller_active { num_streams } else { 0 };
     let mut wins = vec![WindowAcc::new(win_streams); n];
     let mut pins: Vec<Option<usize>> = vec![None; num_streams];
-    let mut version = vec![0usize; num_streams];
+    // One row per stream: the current version's estimate row and the
+    // deadline, so an arrival reads neither a stream spec nor a nested
+    // estimate table.
+    let mut streams: Vec<WalkRow> = match est.workloads() {
+        Some(index) => index.walk_rows(scenario),
+        None => scenario
+            .streams()
+            .iter()
+            .map(|s| WalkRow::deadline_only(s.deadline_s()))
+            .collect(),
+    };
     let zeros = vec![0.0f64; n];
     let mut est_buf: Vec<f64> = Vec::new();
     let mut tmp_assignments: Vec<(usize, usize, f64, usize, usize)> = Vec::new();
@@ -572,7 +592,7 @@ pub(crate) fn simulate_controlled(
                               loads: &mut Vec<ChipLoad>,
                               wins: &mut Vec<WindowAcc>,
                               pins: &mut [Option<usize>],
-                              version: &[usize],
+                              streams: &[WalkRow],
                               events: &mut Vec<ReconfigurationEvent>,
                               epochs: &mut usize|
      -> Result<(), HeraldError> {
@@ -589,7 +609,7 @@ pub(crate) fn simulate_controlled(
             let t_k = epoch as f64 * cfg.cadence_s;
             process_boundary(
                 t_k, epoch, cfg, ctl, estimator, scenario, slots, route, slot_pos, loads, wins,
-                pins, version, events,
+                pins, streams, events,
             )?;
             *epochs = epoch;
         }
@@ -605,25 +625,27 @@ pub(crate) fn simulate_controlled(
             &mut loads,
             &mut wins,
             &mut pins,
-            &version,
+            &streams,
             &mut events,
             &mut epochs,
         )?;
         let seq = match event.kind {
             EventKind::Swap { .. } => {
-                version[event.stream] += 1;
+                if let Some(index) = est.workloads() {
+                    streams[event.stream].swap(index);
+                }
                 continue;
             }
             EventKind::Arrival { seq } => seq,
         };
+        let row = streams[event.stream];
         let est_slice: &[f64] = match &est {
             Estimates::None => &zeros,
-            Estimates::Precomputed(e) => &e[event.stream][version[event.stream]],
+            Estimates::Precomputed(e) => e.row(row.workload),
             Estimates::Lazy(e) => {
                 est_buf.clear();
-                let w = e.workload_index(event.stream, version[event.stream]);
                 for &slot in &route {
-                    est_buf.push(e.rate(slots[slot].est_row, w)?);
+                    est_buf.push(e.rate(slots[slot].est_row, row.workload as usize)?);
                 }
                 &est_buf
             }
@@ -632,7 +654,7 @@ pub(crate) fn simulate_controlled(
             stream: event.stream,
             seq,
             arrival_s: event.t,
-            deadline_s: scenario.streams()[event.stream].deadline_s(),
+            deadline_s: row.deadline(),
             est_service_s: est_slice,
         };
         // Pinned streams bypass the dispatcher entirely (its internal
@@ -713,7 +735,7 @@ pub(crate) fn simulate_controlled(
         &mut loads,
         &mut wins,
         &mut pins,
-        &version,
+        &streams,
         &mut events,
         &mut epochs,
     )?;
@@ -871,11 +893,7 @@ pub(crate) fn simulate_controlled(
         as u64;
     walk_mem.estimate_bytes = match &est {
         Estimates::None => 0,
-        Estimates::Precomputed(e) => e
-            .iter()
-            .flat_map(|stream_rows| stream_rows.iter())
-            .map(|row| (row.capacity() * std::mem::size_of::<f64>()) as u64)
-            .sum(),
+        Estimates::Precomputed(e) => e.memory_bytes(),
         Estimates::Lazy(e) => e.memory_bytes(),
     };
     profile.mem.merge(&walk_mem);
@@ -1299,6 +1317,84 @@ mod tests {
         ControlledFleetSimulator::new(fleet, cfg)
             .simulate_with(dispatcher.as_mut(), &mut controller, scenario)
             .unwrap()
+    }
+
+    #[test]
+    fn flat_estimates_equal_direct_replays_per_stream_version_and_chip() {
+        // Stream "a" runs four versions (one swap lies past the horizon
+        // and opens none), "b" two; every workload is shared with another
+        // stream or version. Chips 0 and 2 are identical, so the table
+        // copies chip 0's column into chip 2's.
+        let v1 = single_model(zoo::mobilenet_v1(), 1);
+        let v2 = single_model(zoo::mobilenet_v2(), 1);
+        let v1x2 = single_model(zoo::mobilenet_v1(), 2);
+        let scenario = Scenario::new("swaps", 0.05)
+            .stream(
+                StreamSpec::periodic("a", v1.clone(), 100.0)
+                    .with_deadline(0.03)
+                    .swap_at(0.01, v2.clone())
+                    .swap_at(0.02, v1x2.clone())
+                    .swap_at(0.03, v1.clone())
+                    .swap_at(0.5, v2.clone()),
+            )
+            .stream(StreamSpec::periodic("b", v2, 80.0).swap_at(0.025, v1))
+            .stream(StreamSpec::poisson("c", v1x2, 60.0, 3));
+        let edge = AcceleratorClass::Edge.resources();
+        let chips = [
+            AcceleratorConfig::fda(DataflowStyle::Nvdla, edge),
+            AcceleratorConfig::fda(DataflowStyle::ShiDianNao, edge),
+            AcceleratorConfig::fda(DataflowStyle::Nvdla, edge),
+        ];
+        let scheduler = HeraldScheduler::default();
+        let cost = CostModel::default();
+        let flat = service_estimates_with(&scenario, &chips, |graph, chip| {
+            Ok(scheduler
+                .schedule_and_simulate(graph, chip, &cost)?
+                .total_latency_s())
+        })
+        .unwrap();
+        let lazy = Estimator::new(&scenario, SchedulerConfig::default());
+        let mut rows = flat.workloads.walk_rows(&scenario);
+        let mut checked = 0;
+        for (s, spec) in scenario.streams().iter().enumerate() {
+            // The oracle: each version's workload straight from the spec,
+            // replayed on its own graph, no deduplication.
+            let versions = std::iter::once(spec.workload()).chain(
+                spec.swaps()
+                    .iter()
+                    .filter(|sw| sw.at_s < scenario.horizon_s())
+                    .map(|sw| &sw.workload),
+            );
+            for (k, workload) in versions.enumerate() {
+                if k > 0 {
+                    rows[s].swap(&flat.workloads);
+                }
+                let w = flat.workloads.workload(s, k);
+                assert_eq!(rows[s].workload as usize, w, "stream {s} version {k}");
+                assert_eq!(rows[s].deadline(), spec.deadline_s());
+                assert_eq!(lazy.workloads.workload(s, k), w);
+                let graph = TaskGraph::new(workload);
+                for (c, chip) in chips.iter().enumerate() {
+                    let direct = HeraldScheduler::default()
+                        .schedule_and_simulate(&graph, chip, &CostModel::default())
+                        .unwrap()
+                        .total_latency_s();
+                    let at = (s, k, c);
+                    assert_eq!(flat.row(w as u32)[c].to_bits(), direct.to_bits(), "{at:?}");
+                    let lazy_row = lazy.config_row(chip);
+                    assert_eq!(lazy.rate(lazy_row, w).unwrap().to_bits(), direct.to_bits());
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, (4 + 2 + 1) * chips.len());
+        // Three distinct workloads: three rows of three chips, and one
+        // index entry per (stream, version).
+        assert_eq!(flat.columns(&[0, 1, 2]).len(), 3 * 3);
+        assert_eq!(
+            flat.memory_bytes(),
+            ((scenario.streams().len() + 1 + 7) * 4 + 3 * 3 * 8) as u64
+        );
     }
 
     #[test]

@@ -32,6 +32,7 @@ use herald_cost::CostModel;
 use herald_dataflow::DataflowStyle;
 use herald_models::{LayerDims, LayerOp};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -49,6 +50,7 @@ pub struct EvalStats {
     fingerprint_lookups: AtomicU64,
     fingerprint_hits: AtomicU64,
     fingerprint_collisions: AtomicU64,
+    verify_graph_walks: AtomicU64,
 }
 
 impl EvalStats {
@@ -93,6 +95,12 @@ impl EvalStats {
         self.fingerprint_collisions.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Records `n` full walks of a live task graph made to verify memo
+    /// entries (see [`ScheduleState::lookup`]).
+    pub fn record_verify_graph_walks(&self, n: u64) {
+        self.verify_graph_walks.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Per-(task, sub-accelerator) placement cost evaluations so far.
     pub fn placement_evals(&self) -> u64 {
         self.placement_evals.load(Ordering::Relaxed)
@@ -128,6 +136,11 @@ impl EvalStats {
         self.fingerprint_collisions.load(Ordering::Relaxed)
     }
 
+    /// Full verify-on-hit graph walks so far.
+    pub fn verify_graph_walks(&self) -> u64 {
+        self.verify_graph_walks.load(Ordering::Relaxed)
+    }
+
     /// A consistent point-in-time copy of all counters.
     pub fn snapshot(&self) -> EvalSnapshot {
         EvalSnapshot {
@@ -138,6 +151,7 @@ impl EvalStats {
             fingerprint_lookups: self.fingerprint_lookups(),
             fingerprint_hits: self.fingerprint_hits(),
             fingerprint_collisions: self.fingerprint_collisions(),
+            verify_graph_walks: self.verify_graph_walks(),
         }
     }
 }
@@ -159,6 +173,8 @@ pub struct EvalSnapshot {
     pub fingerprint_hits: u64,
     /// Fingerprint collisions caught by key verification.
     pub fingerprint_collisions: u64,
+    /// Full verify-on-hit graph walks.
+    pub verify_graph_walks: u64,
 }
 
 /// A deterministic 128-bit fingerprint of the exact inputs that
@@ -178,8 +194,42 @@ pub struct EvalSnapshot {
 /// The hash is seed-free and platform-independent (two lanes of
 /// SplitMix64-style mixing over explicit `u64` words), so fingerprints
 /// are stable across runs — a requirement for deterministic replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ScheduleFingerprint([u64; 2]);
+
+impl Hash for ScheduleFingerprint {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0[0]);
+        state.write_u64(self.0[1]);
+    }
+}
+
+/// The memo map's hasher. Its key is already a well-mixed 128-bit hash of
+/// the caller's own inputs, so it XORs the two words instead of running
+/// them through a keyed (SipHash) hash. Nothing iterates the map, so the
+/// hash never reaches a result.
+#[derive(Default)]
+struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.0 ^= i;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 impl ScheduleFingerprint {
     /// The raw 128 bits, for diagnostics.
@@ -509,8 +559,18 @@ impl ScheduleKey {
         cfg: &SchedulerConfig,
         cost: &CostModel,
     ) -> bool {
-        if self.layers.len() != graph.len()
-            || self.global_buffer_bytes != acc.global_buffer_bytes()
+        self.matches_config(acc, cfg, cost) && self.matches_graph(graph)
+    }
+
+    /// The O(ways) part of [`ScheduleKey::matches_inputs`]: the
+    /// accelerator, cost-model and scheduler sections.
+    fn matches_config(
+        &self,
+        acc: &AcceleratorConfig,
+        cfg: &SchedulerConfig,
+        cost: &CostModel,
+    ) -> bool {
+        if self.global_buffer_bytes != acc.global_buffer_bytes()
             || self.cost != cost.config().fingerprint()
             || self.sched
                 != (
@@ -536,6 +596,15 @@ impl ScheduleKey {
                 )
             })
         {
+            return false;
+        }
+        true
+    }
+
+    /// The O(tasks) part of [`ScheduleKey::matches_inputs`]: the graph's
+    /// layers, dependence edges and instance offsets.
+    fn matches_graph(&self, graph: &TaskGraph) -> bool {
+        if self.layers.len() != graph.len() {
             return false;
         }
         if graph.ids().any(|t| {
@@ -574,12 +643,37 @@ impl ScheduleKey {
 /// recommended pattern) from growing without limit.
 pub const DEFAULT_SCHEDULE_CAPACITY: usize = 1024;
 
+/// One memoized schedule behind its structural key.
+#[derive(Debug)]
+struct MemoEntry {
+    key: ScheduleKey,
+    schedule: Arc<Schedule>,
+    /// [`TaskGraph::identity`] of the last graph whose walk matched the
+    /// key's graph section (0 before any). A hit on a graph with this
+    /// identity skips the walk.
+    verified_graph: AtomicU64,
+}
+
+/// What one [`ScheduleState::lookup`] found, and the verification work it
+/// did.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct MemoLookup {
+    /// The verified schedule, shared with the memo entry (`None` on a
+    /// miss).
+    pub schedule: Option<Arc<Schedule>>,
+    /// Entries that shared the fingerprint but failed verification.
+    pub collisions: u64,
+    /// Entries whose graph section was checked by a full walk of the live
+    /// graph (the O(tasks) step an identity-verified entry skips).
+    pub graph_walks: u64,
+}
+
 #[derive(Debug)]
 struct ScheduleMap {
     /// Fingerprint-keyed buckets. Each bucket holds the full structural
     /// keys sharing a fingerprint (in insertion order) so hits can be
     /// verified; buckets are length 1 unless a 128-bit collision occurs.
-    buckets: HashMap<ScheduleFingerprint, Vec<(ScheduleKey, Schedule)>>,
+    buckets: HashMap<ScheduleFingerprint, Vec<MemoEntry>, BuildHasherDefault<FingerprintHasher>>,
     /// Insertion order for FIFO eviction once `capacity` is reached.
     order: VecDeque<(ScheduleFingerprint, ScheduleKey)>,
     /// Total entries across all buckets.
@@ -591,7 +685,7 @@ impl ScheduleMap {
         let Some(bucket) = self.buckets.get_mut(&fp) else {
             return false;
         };
-        let Some(pos) = bucket.iter().position(|(k, _)| k == key) else {
+        let Some(pos) = bucket.iter().position(|e| e.key == *key) else {
             return false;
         };
         bucket.remove(pos);
@@ -606,7 +700,8 @@ impl ScheduleMap {
 /// The persistent schedule memo: computed schedules keyed by their exact
 /// inputs (see [`ScheduleKey`]), probed by 128-bit
 /// [`ScheduleFingerprint`] with verify-on-hit, bounded to
-/// [`DEFAULT_SCHEDULE_CAPACITY`] entries with FIFO eviction.
+/// [`DEFAULT_SCHEDULE_CAPACITY`] entries with FIFO eviction. Entries hold
+/// their schedule as an `Arc`, so a hit hands out a pointer, not a copy.
 #[derive(Debug)]
 pub struct ScheduleState {
     inner: RwLock<ScheduleMap>,
@@ -624,7 +719,7 @@ impl ScheduleState {
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             inner: RwLock::new(ScheduleMap {
-                buckets: HashMap::new(),
+                buckets: HashMap::default(),
                 order: VecDeque::new(),
                 len: 0,
             }),
@@ -648,15 +743,20 @@ impl ScheduleState {
             .buckets
             .get(&fp)?
             .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, s)| s.clone())
+            .find(|e| e.key == *key)
+            .map(|e| Schedule::clone(&e.schedule))
     }
 
     /// The fingerprint-first memo probe: finds the bucket by `fp`, then
     /// verifies each candidate's stored structural key against the live
-    /// inputs (alloc-free) before serving it. Returns the verified
-    /// schedule (if any) and the number of candidates that shared the
-    /// fingerprint but failed verification (collisions).
+    /// inputs (alloc-free) before serving it.
+    ///
+    /// The accelerator, cost-model and scheduler sections are compared on
+    /// every probe. The O(tasks) graph section is walked only when the
+    /// entry has not yet matched this very graph or a clone of it (a
+    /// [`TaskGraph`] carries a content identity its clones share), so the
+    /// streams of a fleet that share one interned graph walk it once per
+    /// entry. Only the last verified identity is kept per entry.
     pub fn lookup(
         &self,
         fp: ScheduleFingerprint,
@@ -664,45 +764,60 @@ impl ScheduleState {
         acc: &AcceleratorConfig,
         cfg: &SchedulerConfig,
         cost: &CostModel,
-    ) -> (Option<Schedule>, u64) {
+    ) -> MemoLookup {
         let inner = self
             .inner
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut found = MemoLookup::default();
         let Some(bucket) = inner.buckets.get(&fp) else {
-            return (None, 0);
+            return found;
         };
-        let mut collisions = 0;
-        for (k, s) in bucket {
-            if k.matches_inputs(graph, acc, cfg, cost) {
-                return (Some(s.clone()), collisions);
+        for entry in bucket {
+            if entry.key.matches_config(acc, cfg, cost) {
+                if entry.verified_graph.load(Ordering::Relaxed) == graph.identity() {
+                    found.schedule = Some(Arc::clone(&entry.schedule));
+                    return found;
+                }
+                found.graph_walks += 1;
+                if entry.key.matches_graph(graph) {
+                    entry
+                        .verified_graph
+                        .store(graph.identity(), Ordering::Relaxed);
+                    found.schedule = Some(Arc::clone(&entry.schedule));
+                    return found;
+                }
             }
-            collisions += 1;
+            found.collisions += 1;
         }
-        (None, collisions)
+        found
     }
 
     /// Stores a computed schedule under its key, evicting the oldest
     /// entry when the memo is at capacity.
     pub fn insert(&self, key: ScheduleKey, schedule: Schedule) {
-        self.insert_under(key.fingerprint(), key, schedule);
+        self.insert_under(key.fingerprint(), key, Arc::new(schedule));
     }
 
     /// Stores a schedule under an explicitly supplied fingerprint
     /// (normally `key.fingerprint()`, precomputed by the caller; tests
     /// may force a mismatched fingerprint to exercise the verify-on-hit
-    /// fallback).
-    pub fn insert_under(&self, fp: ScheduleFingerprint, key: ScheduleKey, schedule: Schedule) {
+    /// fallback). Later hits share `schedule`.
+    pub fn insert_under(&self, fp: ScheduleFingerprint, key: ScheduleKey, schedule: Arc<Schedule>) {
         let mut inner = self
             .inner
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let bucket = inner.buckets.entry(fp).or_default();
-        if let Some(slot) = bucket.iter_mut().find(|(k, _)| *k == key) {
-            slot.1 = schedule;
+        if let Some(entry) = bucket.iter_mut().find(|e| e.key == key) {
+            entry.schedule = schedule;
             return;
         }
-        bucket.push((key.clone(), schedule));
+        bucket.push(MemoEntry {
+            key: key.clone(),
+            schedule,
+            verified_graph: AtomicU64::new(0),
+        });
         inner.len += 1;
         inner.order.push_back((fp, key));
         while inner.len > self.capacity {
@@ -1136,25 +1251,64 @@ mod tests {
         let fp = key1.fingerprint();
         let s1 = HeraldScheduler::new(cfg).schedule(&g1, &a, &cost).unwrap();
         let s2 = HeraldScheduler::new(cfg).schedule(&g2, &a, &cost).unwrap();
-        state.insert_under(fp, key1, s1.clone());
-        state.insert_under(fp, key2, s2.clone());
+        state.insert_under(fp, key1, Arc::new(s1.clone()));
+        state.insert_under(fp, key2, Arc::new(s2.clone()));
         assert_eq!(state.len(), 2);
 
         // g1's inputs: first bucket entry verifies, no collisions seen.
-        let (hit, collisions) = state.lookup(fp, &g1, &a, &cfg, &cost);
-        assert_eq!(hit, Some(s1));
-        assert_eq!(collisions, 0);
+        let found = state.lookup(fp, &g1, &a, &cfg, &cost);
+        assert_eq!(found.schedule.as_deref(), Some(&s1));
+        assert_eq!((found.collisions, found.graph_walks), (0, 1));
         // g2's inputs: key1 fails verification first (one collision),
         // then key2 serves.
-        let (hit, collisions) = state.lookup(fp, &g2, &a, &cfg, &cost);
-        assert_eq!(hit, Some(s2));
-        assert_eq!(collisions, 1);
+        let found = state.lookup(fp, &g2, &a, &cfg, &cost);
+        assert_eq!(found.schedule.as_deref(), Some(&s2));
+        assert_eq!((found.collisions, found.graph_walks), (1, 2));
         // A third set of inputs sharing the fingerprint: all entries
         // fail verification -> miss with two collisions.
         let g3 = graph(3);
-        let (hit, collisions) = state.lookup(fp, &g3, &a, &cfg, &cost);
-        assert_eq!(hit, None);
-        assert_eq!(collisions, 2);
+        let found = state.lookup(fp, &g3, &a, &cfg, &cost);
+        assert_eq!(found.schedule, None);
+        assert_eq!((found.collisions, found.graph_walks), (2, 2));
+
+        // Identity-verified hits: the entry verified on g1 serves g1's
+        // clone without walking it, and hands out the stored `Arc`.
+        let clone = g1.clone();
+        let found = state.lookup(fp, &clone, &a, &cfg, &cost);
+        assert_eq!(found.schedule.as_deref(), Some(&s1));
+        assert_eq!((found.collisions, found.graph_walks), (0, 0));
+        let again = state.lookup(fp, &g1, &a, &cfg, &cost);
+        assert!(Arc::ptr_eq(
+            found.schedule.as_ref().unwrap(),
+            again.schedule.as_ref().unwrap()
+        ));
+        // A different graph object of different content under the same
+        // fingerprint is still walked and rejected by key1.
+        let g4 = graph(4);
+        let found = state.lookup(fp, &g4, &a, &cfg, &cost);
+        assert_eq!(found.schedule, None);
+        assert_eq!((found.collisions, found.graph_walks), (2, 2));
+        // The verified graph on another partition or under another cost
+        // configuration is rejected: those sections are checked on every
+        // probe, identity or not.
+        let split = AcceleratorConfig::maelstrom(
+            AcceleratorClass::Edge.resources(),
+            Partition::new(vec![768, 256], vec![8.0, 8.0]).unwrap(),
+        )
+        .unwrap();
+        let found = state.lookup(fp, &clone, &split, &cfg, &cost);
+        assert_eq!(found.schedule, None);
+        assert_eq!((found.collisions, found.graph_walks), (2, 0));
+        let faster = CostModel::new(herald_cost::CostModelConfig {
+            clock_ghz: 2.0,
+            ..Default::default()
+        });
+        let found = state.lookup(fp, &clone, &a, &cfg, &faster);
+        assert_eq!(found.schedule, None);
+        assert_eq!((found.collisions, found.graph_walks), (2, 0));
+        // The identity check survives the rejections above.
+        let found = state.lookup(fp, &g1, &a, &cfg, &cost);
+        assert_eq!((found.collisions, found.graph_walks), (0, 0));
     }
 
     #[test]

@@ -72,6 +72,7 @@ use crate::error::HeraldError;
 use crate::fleet::FrameView;
 use crate::fleet::{
     service_estimates_with, AdmissionPolicy, ChipLoad, DispatchPolicy, FleetConfig, FleetSimulator,
+    ServiceEstimates,
 };
 use crate::pareto::pareto_frontier_nd;
 use crate::sched::{HeraldScheduler, IncrementalScheduler, Scheduler, SchedulerConfig};
@@ -409,7 +410,7 @@ impl FleetDseEngine {
         // Service estimates are per fusion level: the same chip serves a
         // frame at a different latency when its scheduler fuses layers.
         let levels = self.config.fusion_sweep();
-        let mut estimates_by_level: Vec<Vec<Vec<Vec<f64>>>> = Vec::with_capacity(levels.len());
+        let mut estimates_by_level: Vec<ServiceEstimates> = Vec::with_capacity(levels.len());
         for &fusion in &levels {
             estimates_by_level.push(self.menu_estimates(ctx, scenario, menu, fusion)?);
         }
@@ -579,9 +580,9 @@ impl FleetDseEngine {
         policy
     }
 
-    /// Estimated single-frame service time of every stream's workload
-    /// versions on every *menu* chip, indexed `[stream][version][menu]`
-    /// — [`service_estimates_with`], the same deduplication the fleet
+    /// Estimated single-frame service time of every distinct workload on
+    /// every *menu* chip — [`service_estimates_with`], the same
+    /// deduplication the fleet
     /// simulator's dispatch walk uses, fed by the shared context's
     /// memoizing scheduler, so repeats across candidates and searches
     /// are served from the schedule memo.
@@ -599,7 +600,7 @@ impl FleetDseEngine {
         scenario: &Scenario,
         menu: &[AcceleratorConfig],
         fusion: usize,
-    ) -> Result<Vec<Vec<Vec<f64>>>, HeraldError> {
+    ) -> Result<ServiceEstimates, HeraldError> {
         let cfg = SchedulerConfig {
             fusion,
             ..self.config.scheduler
@@ -622,23 +623,15 @@ impl FleetDseEngine {
         scenario: &Scenario,
         trace: &[Event],
         spec: &CandidateSpec,
-        estimates: &[Vec<Vec<f64>>],
+        estimates: &ServiceEstimates,
     ) -> Result<[f64; 4], HeraldError> {
         let n = spec.chips.len();
         let horizon = scenario.horizon_s();
-        // Per-(stream, version) service-estimate rows for this
-        // composition's chip positions.
-        let rows: Vec<Vec<Vec<f64>>> = estimates
-            .iter()
-            .map(|stream_versions| {
-                stream_versions
-                    .iter()
-                    .map(|menu_row| spec.chips.iter().map(|&mi| menu_row[mi]).collect())
-                    .collect()
-            })
-            .collect();
+        // The menu table's columns for this composition's chip positions,
+        // one row per distinct workload, and one walk row per stream.
+        let table = estimates.columns(&spec.chips);
+        let mut streams = estimates.workloads.walk_rows(scenario);
         let mut dispatcher = spec.policy.build();
-        let mut version = vec![0usize; scenario.streams().len()];
         let mut loads = vec![ChipLoad::default(); n];
         // Under `Sketch` reporting the surrogate must match the full
         // simulations' memory story: latencies stream through a
@@ -654,18 +647,20 @@ impl FleetDseEngine {
         let (mut with_deadline, mut missed) = (0usize, 0usize);
         let mut last_finish = horizon;
         for event in trace {
-            let _seq = match event.kind {
+            let seq = match event.kind {
                 EventKind::Swap { .. } => {
-                    version[event.stream] += 1;
+                    streams[event.stream].swap(&estimates.workloads);
                     continue;
                 }
                 EventKind::Arrival { seq } => seq,
             };
-            let est_row: &[f64] = &rows[event.stream][version[event.stream]];
-            let deadline_s = scenario.streams()[event.stream].deadline_s();
+            let row = streams[event.stream];
+            let start = row.workload as usize * n;
+            let est_row: &[f64] = &table[start..start + n];
+            let deadline_s = row.deadline();
             let frame = FrameView {
                 stream: event.stream,
-                seq: _seq,
+                seq,
                 arrival_s: event.t,
                 deadline_s,
                 est_service_s: est_row,

@@ -8,7 +8,8 @@
 //! memory-feasibility rule.
 
 use crate::sim::core::{
-    build_cost_table, validate_shape, CostTable, EventCore, GraphRef, ScheduleRef, STAGING_FRACTION,
+    build_cost_table, max_occupancy, validate_shape, CostTable, EventCore, GraphRef, ScheduleRef,
+    STAGING_FRACTION,
 };
 use crate::task::{TaskGraph, TaskId};
 use herald_arch::AcceleratorConfig;
@@ -348,10 +349,12 @@ impl<'a> ScheduleSimulator<'a> {
         costs: CostTable,
     ) -> Result<ExecutionReport, SimError> {
         let mut core = EventCore::new(self.acc);
+        let max_occ = max_occupancy(self.acc, &costs);
         core.admit_with_costs(
             GraphRef::Borrowed(self.graph),
             ScheduleRef::Borrowed(schedule),
             costs,
+            max_occ,
             0.0,
         )?;
         core.run_until(f64::INFINITY)?;

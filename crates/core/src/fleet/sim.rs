@@ -216,85 +216,192 @@ impl<'a> FleetSimulator<'a> {
     }
 }
 
+/// Every stream's workload versions as one flat table of distinct
+/// workload indices: `index[offsets[s]..offsets[s + 1]]` are stream `s`'s
+/// versions in order. Built by [`distinct_workloads`].
+pub(crate) struct WorkloadIndex {
+    offsets: Vec<u32>,
+    index: Vec<u32>,
+}
+
+impl WorkloadIndex {
+    /// Distinct-workload index of a stream's workload version.
+    #[cfg(test)]
+    pub(crate) fn workload(&self, stream: usize, version: usize) -> usize {
+        self.index[self.offsets[stream] as usize + version] as usize
+    }
+
+    /// Every stream's row at the start of a walk: its first version and
+    /// its deadline.
+    pub(crate) fn walk_rows(&self, scenario: &Scenario) -> Vec<WalkRow> {
+        scenario
+            .streams()
+            .iter()
+            .zip(&self.offsets)
+            .map(|(spec, &at)| WalkRow {
+                at,
+                workload: self.index[at as usize],
+                deadline_s: spec.deadline_s().unwrap_or(f64::INFINITY),
+            })
+            .collect()
+    }
+
+    /// Bytes retained by the offsets and the index.
+    pub(crate) fn memory_bytes(&self) -> u64 {
+        ((self.offsets.capacity() + self.index.capacity()) * std::mem::size_of::<u32>()) as u64
+    }
+}
+
+/// One stream's row in a dispatch walk: the distinct workload of its
+/// current version, which is its row of the estimate table, and its
+/// deadline. An arrival reads only this row; a swap moves it to the next
+/// version.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WalkRow {
+    /// Position of the current version in [`WorkloadIndex`]'s flat index.
+    at: u32,
+    /// Distinct workload of the current version.
+    pub(crate) workload: u32,
+    /// The stream's deadline, `f64::INFINITY` when it has none (a
+    /// validated deadline is finite).
+    deadline_s: f64,
+}
+
+impl WalkRow {
+    /// A row that tracks the deadline only, for walks that read no
+    /// estimates.
+    pub(crate) fn deadline_only(deadline_s: Option<f64>) -> Self {
+        Self {
+            at: 0,
+            workload: 0,
+            deadline_s: deadline_s.unwrap_or(f64::INFINITY),
+        }
+    }
+
+    /// The stream's deadline.
+    pub(crate) fn deadline(&self) -> Option<f64> {
+        self.deadline_s.is_finite().then_some(self.deadline_s)
+    }
+
+    /// Moves the row to the stream's next workload version (a swap event).
+    pub(crate) fn swap(&mut self, index: &WorkloadIndex) {
+        self.at += 1;
+        self.workload = index.index[self.at as usize];
+    }
+}
+
 /// The one workload-deduplication rule every estimate surface shares:
 /// per stream, the workload versions are the initial workload plus one
 /// entry per swap inside the horizon (the same filter the single-chip
 /// engine applies to swap events); structurally equal workloads collapse
-/// to a single distinct entry. Returns the distinct workloads and, per
-/// `[stream][version]`, the index into them.
-pub(crate) fn distinct_workloads(scenario: &Scenario) -> (Vec<&MultiDnnWorkload>, Vec<Vec<usize>>) {
+/// to a single distinct entry. Returns the distinct workloads and the
+/// per-(stream, version) index into them.
+pub(crate) fn distinct_workloads(scenario: &Scenario) -> (Vec<&MultiDnnWorkload>, WorkloadIndex) {
     let horizon = scenario.horizon_s();
+    let streams = scenario.streams();
     let mut distinct: Vec<&MultiDnnWorkload> = Vec::new();
-    let workload_index: Vec<Vec<usize>> = scenario
-        .streams()
+    let mut offsets: Vec<u32> = Vec::with_capacity(streams.len() + 1);
+    let total_versions: usize = streams
         .iter()
-        .map(|s| {
-            let mut versions = vec![s.workload()];
-            versions.extend(
-                s.swaps()
-                    .iter()
-                    .filter(|sw| sw.at_s < horizon)
-                    .map(|sw| &sw.workload),
-            );
-            versions
-                .into_iter()
-                // `same_structure` is the shared-`Arc` fast path of
-                // `==`: a million tenants instantiated from one cloned
-                // workload dedupe by pointer identity, not by deep
-                // model comparison.
-                .map(
-                    |w| match distinct.iter().position(|d| d.same_structure(w)) {
-                        Some(i) => i,
-                        None => {
-                            distinct.push(w);
-                            distinct.len() - 1
-                        }
-                    },
-                )
-                .collect()
-        })
-        .collect();
-    (distinct, workload_index)
+        .map(|s| 1 + s.swaps().iter().filter(|sw| sw.at_s < horizon).count())
+        .sum();
+    let mut index: Vec<u32> = Vec::with_capacity(total_versions);
+    for s in streams {
+        offsets.push(u32::try_from(index.len()).expect("workload versions overflow u32"));
+        let versions = std::iter::once(s.workload()).chain(
+            s.swaps()
+                .iter()
+                .filter(|sw| sw.at_s < horizon)
+                .map(|sw| &sw.workload),
+        );
+        for w in versions {
+            // `same_structure` is the shared-`Arc` fast path of `==`: a
+            // million tenants instantiated from one cloned workload
+            // dedupe by pointer identity, not by deep model comparison.
+            let d = match distinct.iter().position(|d| d.same_structure(w)) {
+                Some(i) => i,
+                None => {
+                    distinct.push(w);
+                    distinct.len() - 1
+                }
+            };
+            index.push(d as u32);
+        }
+    }
+    offsets.push(index.len() as u32);
+    (distinct, WorkloadIndex { offsets, index })
 }
 
-/// Estimated single-frame service time of every (stream, workload
-/// version) on every chip, indexed `[stream][version][chip]` — the one
-/// deduplication rule shared by the fleet simulator's dispatch walk and
-/// the fleet-DSE screening surrogate, so the two can never drift apart
-/// structurally. Versions are the stream's initial workload plus one
-/// entry per swap inside the horizon (the same filter the single-chip
-/// engine applies to swap events). Identical chips and structurally
-/// equal workloads (e.g. tenants of the same model) share a single call
-/// to `estimate`, which maps one (task graph, chip) pair to its
-/// single-frame latency.
+/// Single-frame service estimates as one flat table: a row per distinct
+/// workload, a column per chip. [`WalkRow::workload`] picks a stream's
+/// current row.
+pub(crate) struct ServiceEstimates {
+    pub(crate) workloads: WorkloadIndex,
+    chips: usize,
+    /// `table[workload * chips + chip]`.
+    table: Vec<f64>,
+}
+
+impl ServiceEstimates {
+    /// Distinct workload `workload`'s estimate on every chip.
+    pub(crate) fn row(&self, workload: u32) -> &[f64] {
+        let start = workload as usize * self.chips;
+        &self.table[start..start + self.chips]
+    }
+
+    /// The same table restricted to (and ordered by) the chip columns
+    /// `chips`, sharing nothing with `self` but its values.
+    pub(crate) fn columns(&self, chips: &[usize]) -> Vec<f64> {
+        self.table
+            .chunks_exact(self.chips)
+            .flat_map(|row| chips.iter().map(move |&c| row[c]))
+            .collect()
+    }
+
+    /// Bytes retained by the whole layout: the workload index and the
+    /// estimate table.
+    pub(crate) fn memory_bytes(&self) -> u64 {
+        self.workloads.memory_bytes() + (self.table.capacity() * std::mem::size_of::<f64>()) as u64
+    }
+}
+
+/// Estimated single-frame service time of every distinct workload of the
+/// scenario on every chip — the one deduplication rule shared by the
+/// fleet simulator's dispatch walk and the fleet-DSE screening surrogate,
+/// so the two can never drift apart structurally. Versions are the
+/// stream's initial workload plus one entry per swap inside the horizon
+/// (the same filter the single-chip engine applies to swap events).
+/// Identical chips and structurally equal workloads (e.g. tenants of the
+/// same model) share a single call to `estimate`, which maps one (task
+/// graph, chip) pair to its single-frame latency.
 pub(crate) fn service_estimates_with(
     scenario: &Scenario,
     chips: &[AcceleratorConfig],
     mut estimate: impl FnMut(&TaskGraph, &AcceleratorConfig) -> Result<f64, HeraldError>,
-) -> Result<Vec<Vec<Vec<f64>>>, HeraldError> {
-    let (distinct, workload_index) = distinct_workloads(scenario);
+) -> Result<ServiceEstimates, HeraldError> {
+    let (distinct, workloads) = distinct_workloads(scenario);
     let chip_canon: Vec<usize> = chips
         .iter()
         .enumerate()
         .map(|(i, c)| chips[..i].iter().position(|p| p == c).unwrap_or(i))
         .collect();
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(distinct.len());
-    for workload in &distinct {
+    let n = chips.len();
+    let mut table = vec![0.0f64; distinct.len() * n];
+    for (d, workload) in distinct.iter().enumerate() {
         let graph = TaskGraph::new(workload);
-        let mut per_chip = vec![0.0f64; chips.len()];
         for (ci, chip) in chips.iter().enumerate() {
-            per_chip[ci] = if chip_canon[ci] < ci {
-                per_chip[chip_canon[ci]]
+            table[d * n + ci] = if chip_canon[ci] < ci {
+                table[d * n + chip_canon[ci]]
             } else {
                 estimate(&graph, chip)?
             };
         }
-        rows.push(per_chip);
     }
-    Ok(workload_index
-        .into_iter()
-        .map(|stream_rows| stream_rows.into_iter().map(|d| rows[d].clone()).collect())
-        .collect())
+    Ok(ServiceEstimates {
+        workloads,
+        chips: n,
+        table,
+    })
 }
 
 #[cfg(test)]
@@ -352,6 +459,130 @@ mod tests {
             .simulate_profiled(&crate::sched::HeraldScheduler::default(), &scenario)
             .unwrap();
         assert_eq!(chip.walk_ns, 0, "a single-chip run has no walk");
+    }
+
+    /// 40 tenants on five shared workloads, deadlines tight enough that
+    /// some frames miss, on two edge chips.
+    fn tenant_fleet() -> (FleetConfig, Scenario) {
+        let chip = AcceleratorConfig::maelstrom(
+            AcceleratorClass::Edge.resources(),
+            herald_arch::Partition::even(2, 1024, 16.0),
+        )
+        .unwrap();
+        let scenario = herald_workloads::diurnal_fleet_stream(40, 100.0, 200.0, 0.02, 1.0, 9);
+        (FleetConfig::homogeneous(&chip, 2), scenario)
+    }
+
+    #[test]
+    fn sketch_aggregates_equal_an_exact_recomputation() {
+        // The oracle: each chip's exact frame records, folded per stream
+        // by hand. The sketch run keeps no records, only its aggregates.
+        let (fleet, scenario) = tenant_fleet();
+        let run = |mode| {
+            FleetSimulator::new(&fleet)
+                .with_dispatcher(DispatchPolicy::LeastLoaded)
+                .with_report_mode(mode)
+                .simulate(&scenario)
+                .unwrap()
+        };
+        let exact = run(ReportMode::Exact);
+        let sketch = run(ReportMode::sketch());
+        let mut missed = 0;
+        for (e, k) in exact.per_chip().iter().zip(sketch.per_chip()) {
+            let aggs = k.stream_aggs();
+            assert_eq!(aggs.len(), scenario.streams().len());
+            for (s, agg) in aggs.iter().enumerate() {
+                let frames: Vec<_> = e.frames().iter().filter(|f| f.stream == s).collect();
+                let latencies = frames.iter().map(|f| f.latency_s);
+                assert_eq!(agg.frames, frames.len() as u64, "stream {s}");
+                assert_eq!(
+                    agg.deadline_frames,
+                    frames.iter().filter(|f| f.deadline_s.is_some()).count() as u64
+                );
+                assert_eq!(
+                    agg.missed,
+                    frames.iter().filter(|f| f.missed).count() as u64
+                );
+                missed += agg.missed;
+                if frames.is_empty() {
+                    assert_eq!(*agg, crate::sim::StreamAgg::default());
+                    continue;
+                }
+                let min = latencies.clone().fold(f64::INFINITY, f64::min);
+                let max = latencies.clone().fold(f64::NEG_INFINITY, f64::max);
+                assert_eq!(agg.latency_min_s.to_bits(), min.to_bits(), "stream {s}");
+                assert_eq!(agg.latency_max_s.to_bits(), max.to_bits(), "stream {s}");
+                let sum: f64 = latencies.sum();
+                assert!(
+                    (agg.latency_sum_s - sum).abs() <= 1e-12 * sum,
+                    "stream {s}: {} vs {sum}",
+                    agg.latency_sum_s
+                );
+            }
+        }
+        assert!(missed > 0, "the scenario exercises the miss counters");
+    }
+
+    #[test]
+    fn compile_work_counters_are_exact_and_repeat() {
+        // Per chip, a stream's first frame compiles through the chip's
+        // memo: the first stream of a workload misses, every later one
+        // hits. A hit hands back the memo's own `Arc`, so no compile
+        // deep-compares, and an entry walks the graph once, on its
+        // first hit.
+        let (fleet, scenario) = tenant_fleet();
+        let run = || {
+            FleetSimulator::new(&fleet)
+                .with_dispatcher(DispatchPolicy::LeastLoaded)
+                .with_report_mode(ReportMode::sketch())
+                .simulate_profiled(&scenario)
+                .unwrap()
+        };
+        let (report, p) = run();
+        let rotation = 5;
+        let (mut lookups, mut misses, mut walks) = (0, 0, 0);
+        for chip in report.per_chip() {
+            let served: Vec<usize> = (0..scenario.streams().len())
+                .filter(|&s| chip.stream_aggs()[s].frames > 0)
+                .collect();
+            lookups += served.len() as u64;
+            for w in 0..rotation {
+                let streams = served.iter().filter(|&&s| s % rotation == w).count() as u64;
+                misses += streams.min(1);
+                walks += u64::from(streams >= 2);
+            }
+        }
+        assert_eq!(p.fingerprint_lookups, lookups);
+        assert_eq!(p.schedule_compiles, misses);
+        assert_eq!(p.verify_graph_walks, walks);
+        assert_eq!(
+            walks,
+            2 * rotation as u64,
+            "every workload is shared on both chips"
+        );
+        assert_eq!(p.schedule_deep_compares, 0);
+        let work = |p: &crate::sim::HotPathProfile| {
+            (
+                p.fingerprint_lookups,
+                p.schedule_compiles,
+                p.verify_graph_walks,
+                p.schedule_deep_compares,
+            )
+        };
+        assert_eq!(work(&run().1), work(&p));
+
+        // A scheduler without a memo hands back a fresh schedule on every
+        // compile, so every stream after a workload's first falls back to
+        // a deep compare against the interned schedule.
+        let cost = herald_cost::CostModel::default();
+        let (single, p) = crate::sim::StreamSimulator::new(&fleet.chips()[0], &cost)
+            .with_report_mode(ReportMode::sketch())
+            .simulate_profiled(&crate::sched::HeraldScheduler::default(), &scenario)
+            .unwrap();
+        let served = single.stream_aggs().iter().filter(|a| a.frames > 0).count() as u64;
+        assert_eq!(p.schedule_compiles, served);
+        assert_eq!(p.schedule_deep_compares, served - rotation as u64);
+        assert_eq!((p.fingerprint_lookups, p.verify_graph_walks), (0, 0));
     }
 
     #[test]

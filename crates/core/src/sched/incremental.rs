@@ -23,6 +23,7 @@ use crate::sched::{HeraldScheduler, Scheduler};
 use crate::task::TaskGraph;
 use herald_arch::AcceleratorConfig;
 use herald_cost::CostModel;
+use std::sync::Arc;
 
 /// A memoizing wrapper around [`HeraldScheduler`]: schedules are cached
 /// in a shared [`EvalContext`] under exact-input [`ScheduleKey`]s, so
@@ -73,36 +74,42 @@ impl IncrementalScheduler {
     }
 
     /// Serves the schedule from the memo, or runs the inner scheduler and
-    /// memoizes its schedule. Returns the schedule, the report of the
-    /// Fig. 9 pass's kept schedule when a fresh run replayed it, and
-    /// whether the memo served it.
+    /// memoizes its schedule. Returns the schedule (shared with the memo
+    /// entry), the report of the Fig. 9 pass's kept schedule when a fresh
+    /// run replayed it, and whether the memo served it.
     fn serve(
         &self,
         graph: &TaskGraph,
         acc: &AcceleratorConfig,
         cost: &CostModel,
         stats: &EvalStats,
-    ) -> Result<(Schedule, Option<ExecutionReport>, bool), HeraldError> {
+    ) -> Result<(Arc<Schedule>, Option<ExecutionReport>, bool), HeraldError> {
         // Fingerprint-first probe: no allocation on the hot path. The
         // full structural key is only materialised on a miss, to store
         // behind the fingerprint for collision verification.
         let fp = ScheduleFingerprint::of_inputs(graph, acc, self.inner.config(), cost);
         stats.record_fingerprint_lookup();
-        let (hit, collisions) =
-            self.ctx
-                .schedules()
-                .lookup(fp, graph, acc, self.inner.config(), cost);
-        if collisions > 0 {
-            stats.record_fingerprint_collisions(collisions);
+        let found = self
+            .ctx
+            .schedules()
+            .lookup(fp, graph, acc, self.inner.config(), cost);
+        if found.collisions > 0 {
+            stats.record_fingerprint_collisions(found.collisions);
         }
-        if let Some(schedule) = hit {
+        if found.graph_walks > 0 {
+            stats.record_verify_graph_walks(found.graph_walks);
+        }
+        if let Some(schedule) = found.schedule {
             stats.record_schedule_cache_hit();
             stats.record_fingerprint_hit();
             return Ok((schedule, None, true));
         }
         let (schedule, report) = self.inner.run(graph, acc, cost, stats)?;
+        let schedule = Arc::new(schedule);
         let key = ScheduleKey::new(graph, acc, self.inner.config(), cost);
-        self.ctx.schedules().insert_under(fp, key, schedule.clone());
+        self.ctx
+            .schedules()
+            .insert_under(fp, key, Arc::clone(&schedule));
         Ok((schedule, report, false))
     }
 }
@@ -124,7 +131,9 @@ impl Scheduler for IncrementalScheduler {
         cost: &CostModel,
         stats: &EvalStats,
     ) -> Result<Schedule, HeraldError> {
-        Ok(self.schedule_tracked(graph, acc, cost, stats)?.0)
+        Ok(Arc::unwrap_or_clone(
+            self.schedule_tracked(graph, acc, cost, stats)?.0,
+        ))
     }
 
     fn schedule_tracked(
@@ -133,7 +142,7 @@ impl Scheduler for IncrementalScheduler {
         acc: &AcceleratorConfig,
         cost: &CostModel,
         stats: &EvalStats,
-    ) -> Result<(Schedule, bool), HeraldError> {
+    ) -> Result<(Arc<Schedule>, bool), HeraldError> {
         let (schedule, _, hit) = self.serve(graph, acc, cost, stats)?;
         Ok((schedule, hit))
     }

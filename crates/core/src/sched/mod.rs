@@ -19,6 +19,7 @@ use crate::task::TaskGraph;
 use herald_arch::AcceleratorConfig;
 use herald_cost::{CostModel, Metric};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Initial layer-ordering heuristic (Sec. IV-D):
 ///
@@ -131,7 +132,10 @@ pub trait Scheduler {
 
     /// Like [`Scheduler::schedule_with`], additionally reporting whether
     /// the schedule was served from a memo (`true`) or computed fresh
-    /// (`false`).
+    /// (`false`). The schedule comes back shared: a memoizing scheduler
+    /// hands out its memo entry's `Arc`, so a caller can recognise a
+    /// schedule it has seen by pointer ([`Arc::ptr_eq`]) before comparing
+    /// contents.
     ///
     /// The default implementation computes fresh and returns `false`;
     /// memoizing schedulers ([`IncrementalScheduler`]) override it. The
@@ -148,8 +152,11 @@ pub trait Scheduler {
         acc: &AcceleratorConfig,
         cost: &CostModel,
         stats: &EvalStats,
-    ) -> Result<(Schedule, bool), HeraldError> {
-        Ok((self.schedule_with(graph, acc, cost, stats)?, false))
+    ) -> Result<(Arc<Schedule>, bool), HeraldError> {
+        Ok((
+            Arc::new(self.schedule_with(graph, acc, cost, stats)?),
+            false,
+        ))
     }
 
     /// Convenience: schedule and immediately replay, returning the report.

@@ -125,6 +125,19 @@ pub(crate) fn build_cost_table(
         .collect()
 }
 
+/// The largest buffer occupancy one task of `costs` pins on `acc`: a
+/// frame's share of [`EventCore`]'s occupancy cap. The streaming engine
+/// computes it once per compiled schedule and passes it to every
+/// admission of that schedule.
+pub(crate) fn max_occupancy(acc: &AcceleratorConfig, costs: &[LayerCost]) -> u64 {
+    let staging_cap = acc.global_buffer_bytes() / STAGING_FRACTION;
+    costs
+        .iter()
+        .map(|c| c.buffer.occupancy_bytes(staging_cap))
+        .max()
+        .unwrap_or(0)
+}
+
 /// Checks that a schedule's shape matches the graph and the accelerator:
 /// one assignment per task and one queue per sub-accelerator. Together
 /// with [`Schedule::new`]'s own checks this makes every index
@@ -335,14 +348,16 @@ impl<'a> EventCore<'a> {
     }
 
     /// Admits a frame at `arrival_s` with its cost table, which must have
-    /// one entry per task of the graph (see [`build_cost_table`]),
-    /// validating that the schedule's shape matches the graph and
-    /// accelerator. Returns the frame handle.
+    /// one entry per task of the graph (see [`build_cost_table`]), and the
+    /// table's [`max_occupancy`] on this core's accelerator, validating
+    /// that the schedule's shape matches the graph and accelerator.
+    /// Returns the frame handle.
     pub(crate) fn admit_with_costs(
         &mut self,
         graph: GraphRef<'a>,
         schedule: ScheduleRef<'a>,
         costs: CostTable,
+        max_occ: u64,
         arrival_s: f64,
     ) -> Result<usize, SimError> {
         let (remaining, ways) = {
@@ -363,6 +378,7 @@ impl<'a> EventCore<'a> {
             "frame arrives at {arrival_s}, before the clock {}",
             self.clock
         );
+        debug_assert_eq!(max_occ, max_occupancy(self.acc, &costs));
         let head = match self.head_pool.pop() {
             Some(mut h) => {
                 self.arena_reuses += 1;
@@ -410,14 +426,7 @@ impl<'a> EventCore<'a> {
             entries,
             energy: EnergyBreakdown::default(),
         };
-        let staging_cap = self.staging_cap();
-        let frame_occ_cap = state
-            .costs
-            .iter()
-            .map(|c| c.buffer.occupancy_bytes(staging_cap))
-            .max()
-            .unwrap_or(0);
-        self.occ_cap = self.occ_cap.max(frame_occ_cap);
+        self.occ_cap = self.occ_cap.max(max_occ);
         let slot = match self.free.pop() {
             Some(slot) => {
                 debug_assert!(self.frames[slot].is_none(), "free slot still occupied");
@@ -823,8 +832,10 @@ impl<'a> EventCore<'a> {
         self.free.push(frame);
         self.head_pool.push(f.head);
         self.finish_pool.push(f.finish);
-        let mut entries = f.entries;
-        entries.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
+        // Commits start in non-decreasing order (`commit` asserts it), so
+        // the entries are already sorted by start.
+        let entries = f.entries;
+        debug_assert!(entries.is_sorted_by(|a, b| a.start_s <= b.start_s));
         let finish_s = entries
             .iter()
             .map(|e| e.finish_s)
@@ -1177,6 +1188,7 @@ mod tests {
             GraphRef::Borrowed(&graph),
             ScheduleRef::Borrowed(&schedule),
             costs.clone(),
+            max_occupancy(&acc, &costs),
             0.0,
         )
         .unwrap();
@@ -1532,6 +1544,7 @@ mod tests {
                                     GraphRef::Shared(Arc::clone(&graph)),
                                     ScheduleRef::Shared(Arc::clone(&schedule)),
                                     costs.clone(),
+                                    max_occupancy(&acc, &costs),
                                     now,
                                 )
                                 .unwrap();
@@ -1655,6 +1668,7 @@ mod tests {
                     GraphRef::Borrowed(g),
                     ScheduleRef::Borrowed(s),
                     c.clone(),
+                    max_occupancy(core.acc, c),
                     0.0,
                 )
                 .unwrap()

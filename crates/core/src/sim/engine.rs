@@ -19,7 +19,9 @@
 use crate::ctx::{EvalContext, EvalStats};
 use crate::error::HeraldError;
 use crate::sched::Scheduler;
-use crate::sim::core::{build_cost_table, CostTable, EventCore, GraphRef, ScheduleRef};
+use crate::sim::core::{
+    build_cost_table, max_occupancy, CostTable, EventCore, FrameResult, GraphRef, ScheduleRef,
+};
 use crate::sim::profile::HotPathProfile;
 use crate::sim::report::{
     ArrivalWindow, BusySpan, FrameRecord, QuantileSketch, ReportMode, StreamAgg, StreamReport,
@@ -403,7 +405,7 @@ pub(crate) struct RoutedScenario<'a> {
 struct RoutedTraceIter<'a> {
     arrivals: &'a [(f64, u32)],
     next_arrival: usize,
-    seqs: Vec<usize>,
+    seqs: Vec<u32>,
     swaps: Vec<Event>,
     next_swap: usize,
 }
@@ -459,18 +461,23 @@ impl Iterator for RoutedTraceIter<'_> {
         Some(Event {
             t,
             stream,
-            kind: EventKind::Arrival { seq },
+            kind: EventKind::Arrival { seq: seq as usize },
         })
     }
 }
 
-/// A compiled (schedule, cost table) pair: everything a frame admission
-/// needs, shareable across every arrival of every stream compiled to the
-/// same schedule by two pointer bumps.
-#[derive(Clone)]
+/// A compiled schedule with everything a frame admission needs: the
+/// schedule, its cost table and the table's [`max_occupancy`], shared by
+/// every frame admitted against it through two pointer bumps.
 struct CompiledSchedule {
     schedule: Arc<crate::sched::Schedule>,
     costs: CostTable,
+    max_occ: u64,
+    /// Whether this is a workload's interned entry, which any number of
+    /// rows may point at. Other entries (only a non-deterministic
+    /// scheduler makes them) belong to one row and go back to the pool's
+    /// free list when that row lets go of them.
+    interned: bool,
 }
 
 /// One distinct workload of a run, interned by structure: streams, token
@@ -482,12 +489,41 @@ struct InternedWorkload<'w> {
     /// Interned workload name, shared with every frame/swap record (an
     /// `Arc<str>` bump per event, not a `String` clone).
     name: Arc<str>,
-    /// The first schedule compiled for `graph` in this run, with its cost
-    /// table. The chip, cost model, metric and scheduler are fixed for a
-    /// run, so the run-local workload index is a complete key: a
-    /// deterministic scheduler hands back an equal schedule on every later
-    /// compile, which [`compile`] then serves from here.
-    compiled: Option<CompiledSchedule>,
+    /// Pool index of the first schedule compiled for `graph` in this run.
+    /// The chip, cost model, metric and scheduler are fixed for a run, so
+    /// the run-local workload index is a complete key: a deterministic
+    /// scheduler hands back an equal schedule on every later compile,
+    /// which [`Compiler::compile`] then serves from here.
+    compiled: Option<u32>,
+}
+
+/// [`StreamRow::compiled`] of a stream with no compiled schedule.
+const NOT_COMPILED: u32 = u32::MAX;
+
+/// One stream's state on one chip: everything an arrival and its harvest
+/// read, in one cache line.
+#[repr(align(64))]
+struct StreamRow {
+    /// Index into the run's interned workloads (the current version).
+    workload: u32,
+    /// Pool index of the schedule compiled for the stream's *current*
+    /// workload ([`NOT_COMPILED`] when none) — the dirty-tracked memo of
+    /// the incremental policy. A workload swap replaces it (invalidating
+    /// exactly this stream); under [`ReschedulePolicy::FullReschedule`]
+    /// it only carries the eager swap recompile to the first post-swap
+    /// arrival, which consumes it.
+    compiled: u32,
+    /// The stream's deadline, `f64::INFINITY` when it has none (a
+    /// validated deadline is finite, and no latency exceeds infinity).
+    deadline_s: f64,
+    /// The stream's running aggregate (sketch mode only).
+    agg: StreamAgg,
+}
+
+impl StreamRow {
+    fn deadline(&self) -> Option<f64> {
+        self.deadline_s.is_finite().then_some(self.deadline_s)
+    }
 }
 
 /// One compiled-schedule slot of a chained stream's per-token workload
@@ -495,107 +531,135 @@ struct InternedWorkload<'w> {
 /// dirty-tracked schedule); distinct buckets compile independently.
 struct TokenSlot {
     /// Index into the run's interned workloads.
-    workload: usize,
-    compiled: Option<CompiledSchedule>,
+    workload: u32,
+    /// Pool index, or [`NOT_COMPILED`].
+    compiled: u32,
 }
 
-/// Per-stream mutable state while the trace plays out.
-struct StreamState {
-    /// Index into the run's interned workloads (the current version).
-    workload: usize,
-    deadline_s: Option<f64>,
-    /// The schedule (plus its per-task cost table) compiled for the
-    /// stream's *current* workload — the dirty-tracked memo of the
-    /// incremental policy, shared with every admitted frame (a cache
-    /// hit is a pointer bump, not a clone). A workload swap replaces it
-    /// (invalidating exactly this stream); under
-    /// [`ReschedulePolicy::FullReschedule`] it only carries the eager
-    /// swap recompile to the first post-swap arrival, which consumes
-    /// it.
-    compiled: Option<CompiledSchedule>,
-    /// Distinct per-token workloads of a chained stream (empty for
-    /// every other stream): token `seq` resolves its slot through
+/// A chained stream's token state, kept beside the rows.
+struct Chain {
+    gap_s: f64,
+    tokens: usize,
+    /// Distinct per-token workloads (empty when every token runs the
+    /// stream's own workload): token `seq` resolves its slot through
     /// `token_map`, so same-bucket tokens share one compiled schedule.
-    token_slots: Vec<TokenSlot>,
-    /// `token_map[seq]` indexes into `token_slots`; empty when the
-    /// stream carries no per-token workloads.
+    slots: Vec<TokenSlot>,
+    /// `token_map[seq]` indexes into `slots`.
     token_map: Vec<usize>,
 }
 
-/// Interns one workload by structure and returns its run-local index:
-/// streams (and token buckets, and swap targets) instantiated from a
-/// shared workload build and fingerprint a single graph, not one per
-/// user.
-fn intern_workload<'w>(
-    w: &'w MultiDnnWorkload,
-    interned: &mut Vec<InternedWorkload<'w>>,
-    profile: &mut HotPathProfile,
-) -> usize {
-    if let Some(i) = interned.iter().position(|iw| iw.workload.same_structure(w)) {
-        return i;
-    }
-    let graph = Arc::new(TaskGraph::new(w));
-    // The "precalculated" memo tier: fingerprint each distinct graph up
-    // front so per-arrival memo probes only hash the short
-    // accelerator/scheduler/cost tail.
-    graph.structural_fingerprint();
-    profile.precomputed_graph_fingerprints += 1;
-    interned.push(InternedWorkload {
-        workload: w,
-        graph,
-        name: Arc::from(w.name()),
-        compiled: None,
-    });
-    interned.len() - 1
+/// The run's compile state: the interned workloads, the pool of compiled
+/// schedules that rows point into, and the compile counters.
+struct Compiler<'r, 'w, S> {
+    scheduler: &'r S,
+    acc: &'r AcceleratorConfig,
+    cost: &'r CostModel,
+    metric: Metric,
+    stats: &'r EvalStats,
+    workloads: Vec<InternedWorkload<'w>>,
+    pool: Vec<CompiledSchedule>,
+    /// Pool entries no row points at any more.
+    free: Vec<u32>,
+    invocations: usize,
+    cache_hits: usize,
 }
 
-/// Runs one online compile and classifies it for the report: a
-/// context-aware scheduler (e.g. [`crate::sched::IncrementalScheduler`])
-/// may serve the request from its cross-call memo, which counts as a
-/// cache hit rather than a fresh compile. The scheduler reports the
-/// distinction in-band ([`Scheduler::schedule_tracked`]), so the
-/// classification stays correct even when several threads record into
-/// one shared [`EvalContext`] concurrently.
-///
-/// The scheduler is always called; only the cost table is interned. A
-/// schedule equal to the workload's interned one is served as the
-/// interned (schedule, cost table) pair. Any other schedule (only a
-/// non-deterministic scheduler returns one) builds its own table, and the
-/// first compile of a workload becomes its interned pair.
-#[allow(clippy::too_many_arguments)]
-fn compile<S: Scheduler>(
-    scheduler: &S,
-    workload: &mut InternedWorkload<'_>,
-    acc: &AcceleratorConfig,
-    cost: &CostModel,
-    metric: Metric,
-    stats: &EvalStats,
-    invocations: &mut usize,
-    cache_hits: &mut usize,
-    profile: &mut HotPathProfile,
-) -> Result<CompiledSchedule, HeraldError> {
-    let (schedule, memo_hit) = scheduler.schedule_tracked(&workload.graph, acc, cost, stats)?;
-    if memo_hit {
-        *cache_hits += 1;
-    } else {
-        *invocations += 1;
+impl<'w, S: Scheduler> Compiler<'_, 'w, S> {
+    /// Interns one workload by structure and returns its run-local index:
+    /// streams (and token buckets, and swap targets) instantiated from a
+    /// shared workload build and fingerprint a single graph, not one per
+    /// user.
+    fn intern(&mut self, w: &'w MultiDnnWorkload, profile: &mut HotPathProfile) -> u32 {
+        if let Some(i) = self
+            .workloads
+            .iter()
+            .position(|iw| iw.workload.same_structure(w))
+        {
+            return i as u32;
+        }
+        let graph = Arc::new(TaskGraph::new(w));
+        // The "precalculated" memo tier: fingerprint each distinct graph up
+        // front so per-arrival memo probes only hash the short
+        // accelerator/scheduler/cost tail.
+        graph.structural_fingerprint();
+        profile.precomputed_graph_fingerprints += 1;
+        self.workloads.push(InternedWorkload {
+            workload: w,
+            graph,
+            name: Arc::from(w.name()),
+            compiled: None,
+        });
+        (self.workloads.len() - 1) as u32
     }
-    if let Some(interned) = &workload.compiled {
-        if *interned.schedule == schedule {
-            return Ok(interned.clone());
+
+    /// Runs one online compile of workload `w` and returns its pool index,
+    /// classifying it for the report: a context-aware scheduler (e.g.
+    /// [`crate::sched::IncrementalScheduler`]) may serve the request from
+    /// its cross-call memo, which counts as a cache hit rather than a
+    /// fresh compile. The scheduler reports the distinction in-band
+    /// ([`Scheduler::schedule_tracked`]), so the classification stays
+    /// correct even when several threads record into one shared
+    /// [`EvalContext`] concurrently.
+    ///
+    /// The scheduler is always called; only the compiled entry is
+    /// interned. A schedule equal to the workload's interned one is
+    /// served as the interned entry: a memo hit hands back the very `Arc`
+    /// the entry holds, so a pointer compare settles it, and any other
+    /// schedule falls back to a deep compare. A differing schedule (only
+    /// a non-deterministic scheduler returns one) gets its own entry, and
+    /// the first compile of a workload becomes its interned entry.
+    fn compile(&mut self, w: u32, profile: &mut HotPathProfile) -> Result<u32, HeraldError> {
+        let workload = &mut self.workloads[w as usize];
+        let (schedule, memo_hit) =
+            self.scheduler
+                .schedule_tracked(&workload.graph, self.acc, self.cost, self.stats)?;
+        if memo_hit {
+            self.cache_hits += 1;
+        } else {
+            self.invocations += 1;
+        }
+        if let Some(i) = workload.compiled {
+            let interned = &self.pool[i as usize].schedule;
+            if Arc::ptr_eq(interned, &schedule) {
+                return Ok(i);
+            }
+            profile.schedule_deep_compares += 1;
+            if **interned == *schedule {
+                return Ok(i);
+            }
+        }
+        let costs = build_cost_table(&workload.graph, &schedule, self.acc, self.cost, self.metric);
+        profile.cost_tables_built += 1;
+        profile.cost_table_entries += costs.len() as u64;
+        let entry = CompiledSchedule {
+            max_occ: max_occupancy(self.acc, &costs),
+            schedule,
+            costs,
+            interned: workload.compiled.is_none(),
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.pool[i as usize] = entry;
+                i
+            }
+            None => {
+                self.pool.push(entry);
+                (self.pool.len() - 1) as u32
+            }
+        };
+        if workload.compiled.is_none() {
+            workload.compiled = Some(i);
+        }
+        Ok(i)
+    }
+
+    /// Lets go of a row's pool entry; a non-interned one goes back to the
+    /// free list.
+    fn release(&mut self, i: u32) {
+        if i != NOT_COMPILED && !self.pool[i as usize].interned {
+            self.free.push(i);
         }
     }
-    let costs = build_cost_table(&workload.graph, &schedule, acc, cost, metric);
-    profile.cost_tables_built += 1;
-    profile.cost_table_entries += costs.len() as u64;
-    let compiled = CompiledSchedule {
-        schedule: Arc::new(schedule),
-        costs,
-    };
-    if workload.compiled.is_none() {
-        workload.compiled = Some(compiled.clone());
-    }
-    Ok(compiled)
 }
 
 /// Which source holds the globally next event: the lazy spec-derived
@@ -618,25 +682,25 @@ fn next_is_injected<I: Iterator<Item = Event>>(
 /// Metadata of an admitted frame, joined with the core's timeline once
 /// the frame completes.
 struct PendingFrame {
-    handle: usize,
-    stream: usize,
-    seq: usize,
-    workload: Arc<str>,
-    deadline_s: Option<f64>,
+    handle: u32,
+    stream: u32,
+    seq: u32,
+    /// Interned workload the frame was admitted with.
+    workload: u32,
 }
 
 /// Mode-dispatched frame accumulation: exact mode retains every record
 /// (its busy spans are recorded by the core at commit, already in
 /// (start, way) order); sketch mode folds each completion, spans
-/// included, into the quantile sketch, its stream's [`StreamAgg`], and
-/// the fixed arrival/utilization windows, keeping only sampled exemplar
-/// records.
+/// included, into the quantile sketch, its stream's [`StreamAgg`] (kept
+/// in the stream's row), and the fixed arrival/utilization windows,
+/// keeping only sampled exemplar records.
 struct Collector {
     mode: ReportMode,
     completed: u64,
+    makespan: f64,
     frames: Vec<FrameRecord>,
     sketch: QuantileSketch,
-    aggs: Vec<StreamAgg>,
     window_s: f64,
     ways: usize,
     util_windows: Vec<f64>,
@@ -645,15 +709,14 @@ struct Collector {
 }
 
 impl Collector {
-    fn new(mode: ReportMode, streams: usize, ways: usize, horizon_s: f64) -> Self {
-        let (sketch, aggs, window_s, sample_every) = match mode {
-            ReportMode::Exact => (QuantileSketch::default(), Vec::new(), 0.0, 0),
+    fn new(mode: ReportMode, ways: usize, horizon_s: f64) -> Self {
+        let (sketch, window_s, sample_every) = match mode {
+            ReportMode::Exact => (QuantileSketch::default(), 0.0, 0),
             ReportMode::Sketch {
                 relative_error,
                 sample_every,
             } => (
                 QuantileSketch::new(relative_error),
-                vec![StreamAgg::default(); streams],
                 horizon_s / SKETCH_WINDOWS as f64,
                 sample_every,
             ),
@@ -661,9 +724,9 @@ impl Collector {
         Self {
             mode,
             completed: 0,
+            makespan: horizon_s,
             frames: Vec::new(),
             sketch,
-            aggs,
             window_s,
             ways,
             util_windows: Vec::new(),
@@ -675,23 +738,26 @@ impl Collector {
     fn record(
         &mut self,
         p: &PendingFrame,
-        arrival_s: f64,
-        finish_s: f64,
-        energy_j: f64,
-        spans: impl Iterator<Item = (usize, f64, f64)>,
+        row: &mut StreamRow,
+        workload: &Arc<str>,
+        done: &FrameResult,
     ) {
+        let (arrival_s, finish_s) = (done.arrival_s, done.finish_s);
+        let energy_j = done.energy.total_j();
         self.completed += 1;
+        self.makespan = self.makespan.max(finish_s);
         let latency_s = finish_s - arrival_s;
-        let missed = p.deadline_s.is_some_and(|d| latency_s > d);
+        let missed = latency_s > row.deadline_s;
+        let deadline_s = row.deadline();
         let record = |frames: &mut Vec<FrameRecord>| {
             frames.push(FrameRecord {
-                stream: p.stream,
-                seq: p.seq,
-                workload: Arc::clone(&p.workload),
+                stream: p.stream as usize,
+                seq: p.seq as usize,
+                workload: Arc::clone(workload),
                 arrival_s,
                 finish_s,
                 latency_s,
-                deadline_s: p.deadline_s,
+                deadline_s,
                 missed,
                 energy_j,
             });
@@ -701,7 +767,8 @@ impl Collector {
             return;
         }
         self.sketch.insert(latency_s);
-        self.aggs[p.stream].record(latency_s, p.deadline_s.is_some(), missed);
+        let has_deadline = deadline_s.is_some();
+        row.agg.record(latency_s, has_deadline, missed);
         if self.window_s > 0.0 {
             let w = (arrival_s / self.window_s) as usize;
             if w >= self.miss_windows.len() {
@@ -710,13 +777,14 @@ impl Collector {
             let win = &mut self.miss_windows[w];
             win.frames += 1;
             win.latency_sum_s += latency_s;
-            if p.deadline_s.is_some() {
+            if has_deadline {
                 win.deadline_frames += 1;
                 if missed {
                     win.missed += 1;
                 }
             }
-            for (acc, start_s, span_finish_s) in spans {
+            for e in &done.entries {
+                let (acc, start_s, span_finish_s) = (e.acc, e.start_s, e.finish_s);
                 let first = (start_s / self.window_s) as usize;
                 let last = (span_finish_s / self.window_s) as usize;
                 if (last + 1) * self.ways > self.util_windows.len() {
@@ -735,6 +803,49 @@ impl Collector {
         if self.sample_every > 0 && (self.completed - 1).is_multiple_of(self.sample_every as u64) {
             record(&mut self.frames);
         }
+    }
+}
+
+/// Harvests every completed frame into the collector, in pending order.
+/// A completed token of a chained stream injects its successor's arrival
+/// `gap_s` after its finish; `chains` is empty when the run has no
+/// chained stream, and harvest then never reads it.
+fn harvest(
+    core: &mut EventCore<'_>,
+    pending: &mut Vec<PendingFrame>,
+    col: &mut Collector,
+    rows: &mut [StreamRow],
+    workloads: &[InternedWorkload<'_>],
+    chains: &[Option<Chain>],
+    injected: &mut BinaryHeap<Reverse<ByKey>>,
+) {
+    let mut i = 0;
+    while i < pending.len() {
+        if !core.frame_done(pending[i].handle as usize) {
+            i += 1;
+            continue;
+        }
+        let p = pending.remove(i);
+        let stream = p.stream as usize;
+        let done = core.take_frame(p.handle as usize);
+        if let Some(Some(chain)) = chains.get(stream) {
+            if (p.seq as usize) + 1 < chain.tokens {
+                injected.push(Reverse(ByKey(Event {
+                    t: done.finish_s + chain.gap_s,
+                    stream,
+                    kind: EventKind::Arrival {
+                        seq: p.seq as usize + 1,
+                    },
+                })));
+            }
+        }
+        col.record(
+            &p,
+            &mut rows[stream],
+            &workloads[p.workload as usize].name,
+            &done,
+        );
+        core.recycle_entries(done.entries);
     }
 }
 
@@ -901,6 +1012,36 @@ impl<'a> StreamSimulator<'a> {
         timed: bool,
     ) -> Result<(StreamReport, HotPathProfile), HeraldError> {
         let mut profile = HotPathProfile::default();
+        let local_stats = EvalStats::default();
+        let stats: &EvalStats = match self.ctx {
+            Some(ctx) => ctx.stats(),
+            None => &local_stats,
+        };
+        let placement_before = stats.placement_evals();
+        let stats_before = stats.snapshot();
+        let mut compiler = Compiler {
+            scheduler,
+            acc: self.acc,
+            cost: self.cost,
+            metric: self.metric,
+            stats,
+            workloads: Vec::new(),
+            pool: Vec::new(),
+            free: Vec::new(),
+            invocations: 0,
+            cache_hits: 0,
+        };
+
+        // Autoregressive chains: token `seq + 1` of a chained stream is
+        // *injected* by the engine `gap_s` after token `seq` completes —
+        // its arrival time is a function of the schedule, so no
+        // spec-derived trace can carry it. Chain-free scenarios keep no
+        // chain table, leave the heap empty and skip every chain check.
+        let has_chained = specs
+            .iter()
+            .any(|s| matches!(s.arrival(), ArrivalProcess::Chained { .. }));
+        let mut chains: Vec<Option<Chain>> = Vec::new();
+        let mut injected: BinaryHeap<Reverse<ByKey>> = BinaryHeap::new();
 
         // Intern workloads by structure: a million streams instantiated
         // from a handful of shared workloads build (and fingerprint) one
@@ -908,33 +1049,43 @@ impl<'a> StreamSimulator<'a> {
         // stream. Each stream still tracks its own compiled schedule and
         // calls the scheduler exactly as often, so compile/cache-hit
         // counts are unchanged.
-        let mut interned: Vec<InternedWorkload<'_>> = Vec::new();
-        let mut streams: Vec<StreamState> = Vec::with_capacity(specs.len());
+        let mut rows: Vec<StreamRow> = Vec::with_capacity(specs.len());
         for s in specs {
-            let workload = intern_workload(s.workload(), &mut interned, &mut profile);
-            let mut token_slots: Vec<TokenSlot> = Vec::new();
+            rows.push(StreamRow {
+                workload: compiler.intern(s.workload(), &mut profile),
+                compiled: NOT_COMPILED,
+                deadline_s: s.deadline_s().unwrap_or(f64::INFINITY),
+                agg: StreamAgg::default(),
+            });
+            if !has_chained {
+                continue;
+            }
+            let ArrivalProcess::Chained { gap_s, tokens, .. } = *s.arrival() else {
+                chains.push(None);
+                continue;
+            };
+            let mut slots: Vec<TokenSlot> = Vec::new();
             let mut token_map: Vec<usize> = Vec::with_capacity(s.token_workloads().len());
             for tw in s.token_workloads() {
-                let w = intern_workload(tw, &mut interned, &mut profile);
-                let slot = match token_slots.iter().position(|slot| slot.workload == w) {
+                let w = compiler.intern(tw, &mut profile);
+                let slot = match slots.iter().position(|slot| slot.workload == w) {
                     Some(i) => i,
                     None => {
-                        token_slots.push(TokenSlot {
+                        slots.push(TokenSlot {
                             workload: w,
-                            compiled: None,
+                            compiled: NOT_COMPILED,
                         });
-                        token_slots.len() - 1
+                        slots.len() - 1
                     }
                 };
                 token_map.push(slot);
             }
-            streams.push(StreamState {
-                workload,
-                deadline_s: s.deadline_s(),
-                compiled: None,
-                token_slots,
+            chains.push(Some(Chain {
+                gap_s,
+                tokens,
+                slots,
                 token_map,
-            });
+            }));
         }
 
         let mut core = EventCore::new(self.acc);
@@ -943,70 +1094,10 @@ impl<'a> StreamSimulator<'a> {
         }
         let mut pending: Vec<PendingFrame> = Vec::new();
         let ways = core.per_acc().len();
-        let mut col = Collector::new(self.report, specs.len(), ways, horizon_s);
+        let mut col = Collector::new(self.report, ways, horizon_s);
         let mut swaps: Vec<SwapRecord> = Vec::new();
-        let mut scheduler_invocations = 0usize;
         let mut schedule_cache_hits = 0usize;
         let mut events_processed = 0usize;
-        let local_stats = EvalStats::default();
-        let stats: &EvalStats = match self.ctx {
-            Some(ctx) => ctx.stats(),
-            None => &local_stats,
-        };
-        let placement_before = stats.placement_evals();
-        let stats_before = stats.snapshot();
-        let mut makespan = horizon_s;
-
-        // Autoregressive chains: token `seq + 1` of a chained stream is
-        // *injected* by the engine `gap_s` after token `seq` completes —
-        // its arrival time is a function of the schedule, so no
-        // spec-derived trace can carry it. Chain-free scenarios leave
-        // the heap empty and every chain check false, taking exactly
-        // the historical code path.
-        let chained: Vec<Option<(f64, usize)>> = specs
-            .iter()
-            .map(|s| match *s.arrival() {
-                ArrivalProcess::Chained { gap_s, tokens, .. } => Some((gap_s, tokens)),
-                _ => None,
-            })
-            .collect();
-        let has_chained = chained.iter().any(Option::is_some);
-        let mut injected: BinaryHeap<Reverse<ByKey>> = BinaryHeap::new();
-
-        let harvest = |core: &mut EventCore<'_>,
-                       pending: &mut Vec<PendingFrame>,
-                       col: &mut Collector,
-                       makespan: &mut f64,
-                       injected: &mut BinaryHeap<Reverse<ByKey>>| {
-            let mut i = 0;
-            while i < pending.len() {
-                let p = &pending[i];
-                if !core.frame_done(p.handle) {
-                    i += 1;
-                    continue;
-                }
-                let p = pending.remove(i);
-                let done = core.take_frame(p.handle);
-                *makespan = makespan.max(done.finish_s);
-                if let Some((gap_s, tokens)) = chained[p.stream] {
-                    if p.seq + 1 < tokens {
-                        injected.push(Reverse(ByKey(Event {
-                            t: done.finish_s + gap_s,
-                            stream: p.stream,
-                            kind: EventKind::Arrival { seq: p.seq + 1 },
-                        })));
-                    }
-                }
-                col.record(
-                    &p,
-                    done.arrival_s,
-                    done.finish_s,
-                    done.energy.total_j(),
-                    done.entries.iter().map(|e| (e.acc, e.start_s, e.finish_s)),
-                );
-                core.recycle_entries(done.entries);
-            }
-        };
 
         let mut trace = trace.peekable();
         loop {
@@ -1042,7 +1133,9 @@ impl<'a> StreamSimulator<'a> {
                         &mut core,
                         &mut pending,
                         &mut col,
-                        &mut makespan,
+                        &mut rows,
+                        &compiler.workloads,
+                        &chains,
                         &mut injected,
                     );
                     if let Some(t0) = t0 {
@@ -1071,7 +1164,9 @@ impl<'a> StreamSimulator<'a> {
                 &mut core,
                 &mut pending,
                 &mut col,
-                &mut makespan,
+                &mut rows,
+                &compiler.workloads,
+                &chains,
                 &mut injected,
             );
             if let Some(t0) = t0 {
@@ -1094,7 +1189,7 @@ impl<'a> StreamSimulator<'a> {
                 };
                 events_processed += 1;
                 batch_events += 1;
-                let stream = &mut streams[event.stream];
+                let row = &mut rows[event.stream];
                 match event.kind {
                     EventKind::Arrival { seq } => {
                         // The online scheduling decision for this frame.
@@ -1110,105 +1205,82 @@ impl<'a> StreamSimulator<'a> {
                         // A chained stream with per-token workloads
                         // resolves this token's slot (same-bucket tokens
                         // share the compiled schedule); every other
-                        // stream uses its single dirty-tracked slot.
-                        let (workload, compiled_slot) = if stream.token_map.is_empty() {
-                            (stream.workload, &mut stream.compiled)
-                        } else {
-                            let slot = &mut stream.token_slots[stream.token_map[seq]];
-                            (slot.workload, &mut slot.compiled)
+                        // stream uses its row's single dirty-tracked
+                        // slot.
+                        let (workload, compiled_slot) = match chains.get_mut(event.stream) {
+                            Some(Some(chain)) if !chain.token_map.is_empty() => {
+                                let slot = &mut chain.slots[chain.token_map[seq]];
+                                (slot.workload, &mut slot.compiled)
+                            }
+                            _ => (row.workload, &mut row.compiled),
                         };
                         let compiled = match self.policy {
-                            ReschedulePolicy::Incremental => match &*compiled_slot {
-                                Some(compiled) => {
+                            ReschedulePolicy::Incremental => {
+                                if *compiled_slot == NOT_COMPILED {
+                                    *compiled_slot = compiler.compile(workload, &mut profile)?;
+                                } else {
                                     schedule_cache_hits += 1;
-                                    compiled.clone()
                                 }
-                                None => {
-                                    let compiled = compile(
-                                        scheduler,
-                                        &mut interned[workload],
-                                        self.acc,
-                                        self.cost,
-                                        self.metric,
-                                        stats,
-                                        &mut scheduler_invocations,
-                                        &mut schedule_cache_hits,
-                                        &mut profile,
-                                    )?;
-                                    *compiled_slot = Some(compiled.clone());
-                                    compiled
+                                *compiled_slot
+                            }
+                            ReschedulePolicy::FullReschedule => {
+                                match std::mem::replace(compiled_slot, NOT_COMPILED) {
+                                    NOT_COMPILED => compiler.compile(workload, &mut profile)?,
+                                    compiled => compiled,
                                 }
-                            },
-                            ReschedulePolicy::FullReschedule => match compiled_slot.take() {
-                                Some(compiled) => compiled,
-                                None => compile(
-                                    scheduler,
-                                    &mut interned[workload],
-                                    self.acc,
-                                    self.cost,
-                                    self.metric,
-                                    stats,
-                                    &mut scheduler_invocations,
-                                    &mut schedule_cache_hits,
-                                    &mut profile,
-                                )?,
-                            },
+                            }
                         };
                         if let Some(t0) = t0 {
                             profile.compile_ns += t0.elapsed().as_nanos() as u64;
                         }
                         let t0 = timed.then(Instant::now);
-                        let workload = &interned[workload];
+                        let entry = &compiler.pool[compiled as usize];
                         let handle = core
                             .admit_with_costs(
-                                GraphRef::Shared(Arc::clone(&workload.graph)),
-                                ScheduleRef::Shared(compiled.schedule),
-                                compiled.costs,
+                                GraphRef::Shared(Arc::clone(
+                                    &compiler.workloads[workload as usize].graph,
+                                )),
+                                ScheduleRef::Shared(Arc::clone(&entry.schedule)),
+                                Arc::clone(&entry.costs),
+                                entry.max_occ,
                                 event.t,
                             )
                             .map_err(HeraldError::Simulation)?;
+                        if self.policy == ReschedulePolicy::FullReschedule {
+                            compiler.release(compiled);
+                        }
                         if let Some(t0) = t0 {
                             profile.admit_ns += t0.elapsed().as_nanos() as u64;
                         }
                         profile.admissions += 1;
                         pending.push(PendingFrame {
-                            handle,
-                            stream: event.stream,
-                            seq,
-                            workload: Arc::clone(&workload.name),
-                            deadline_s: stream.deadline_s,
+                            handle: handle as u32,
+                            stream: event.stream as u32,
+                            seq: seq as u32,
+                            workload,
                         });
                     }
                     EventKind::Swap { swap_index } => {
                         let swap = &specs[event.stream].swaps()[swap_index];
-                        let to = intern_workload(&swap.workload, &mut interned, &mut profile);
+                        let to = compiler.intern(&swap.workload, &mut profile);
                         // The swap dirties exactly this stream's
                         // compiled schedule; recompile eagerly at the
                         // change event (modeling the runtime recompiling
                         // on deployment changes). Other streams' memos
                         // are untouched.
                         let t0 = timed.then(Instant::now);
-                        stream.compiled = Some(compile(
-                            scheduler,
-                            &mut interned[to],
-                            self.acc,
-                            self.cost,
-                            self.metric,
-                            stats,
-                            &mut scheduler_invocations,
-                            &mut schedule_cache_hits,
-                            &mut profile,
-                        )?);
+                        let compiled = compiler.compile(to, &mut profile)?;
+                        compiler.release(std::mem::replace(&mut row.compiled, compiled));
                         if let Some(t0) = t0 {
                             profile.compile_ns += t0.elapsed().as_nanos() as u64;
                         }
                         swaps.push(SwapRecord {
                             stream: event.stream,
                             at_s: event.t,
-                            from: Arc::clone(&interned[stream.workload].name),
-                            to: Arc::clone(&interned[to].name),
+                            from: Arc::clone(&compiler.workloads[row.workload as usize].name),
+                            to: Arc::clone(&compiler.workloads[to as usize].name),
                         });
-                        stream.workload = to;
+                        row.workload = to;
                     }
                 }
                 if batch_events >= self.admission_batch {
@@ -1245,7 +1317,9 @@ impl<'a> StreamSimulator<'a> {
             &mut core,
             &mut pending,
             &mut col,
-            &mut makespan,
+            &mut rows,
+            &compiler.workloads,
+            &chains,
             &mut injected,
         );
         debug_assert!(pending.is_empty(), "all frames complete after drain");
@@ -1258,6 +1332,8 @@ impl<'a> StreamSimulator<'a> {
                 .then(a.seq.cmp(&b.seq))
         });
         let busy_spans = core.take_spans();
+        let scheduler_invocations = compiler.invocations;
+        schedule_cache_hits += compiler.cache_hits;
 
         let stats_after = stats.snapshot();
         profile.events = events_processed as u64;
@@ -1268,13 +1344,20 @@ impl<'a> StreamSimulator<'a> {
         profile.fingerprint_hits = stats_after.fingerprint_hits - stats_before.fingerprint_hits;
         profile.fingerprint_collisions =
             stats_after.fingerprint_collisions - stats_before.fingerprint_collisions;
+        profile.verify_graph_walks =
+            stats_after.verify_graph_walks - stats_before.verify_graph_walks;
         core.record_counters(&mut profile);
         profile.mem.frame_bytes =
             (col.frames.capacity() * std::mem::size_of::<FrameRecord>()) as u64;
         profile.mem.span_bytes = (busy_spans.capacity() * std::mem::size_of::<BusySpan>()) as u64;
+        let aggs: Vec<StreamAgg> = if self.report.is_exact() {
+            Vec::new()
+        } else {
+            rows.iter().map(|row| row.agg).collect()
+        };
         if !self.report.is_exact() {
             profile.mem.sketch_bytes = col.sketch.memory_bytes();
-            profile.mem.agg_bytes = (col.aggs.capacity() * std::mem::size_of::<StreamAgg>()
+            profile.mem.agg_bytes = (aggs.capacity() * std::mem::size_of::<StreamAgg>()
                 + col.util_windows.capacity() * std::mem::size_of::<f64>()
                 + col.miss_windows.capacity() * std::mem::size_of::<ArrivalWindow>())
                 as u64;
@@ -1284,7 +1367,7 @@ impl<'a> StreamSimulator<'a> {
             name.to_string(),
             stream_names,
             horizon_s,
-            makespan,
+            col.makespan,
             col.frames,
             swaps,
             core.per_acc().to_vec(),
@@ -1301,7 +1384,7 @@ impl<'a> StreamSimulator<'a> {
                 self.report,
                 col.completed,
                 col.sketch,
-                col.aggs,
+                aggs,
                 col.window_s,
                 col.util_windows,
                 col.miss_windows,
@@ -2134,6 +2217,24 @@ mod tests {
             energies[0], energies[1],
             "the two schedules must differ in cost"
         );
+
+        // Full rescheduling compiles at every arrival, A, B, A, B, ... in
+        // arrival order. Each B is admitted from an entry of its own,
+        // which goes back to the pool after its one admission.
+        let scheduler = AlternatingScheduler {
+            issued: std::cell::RefCell::new(Vec::new()),
+        };
+        let (report, profile) = StreamSimulator::new(&acc, &cost)
+            .with_policy(ReschedulePolicy::FullReschedule)
+            .simulate_profiled(&scheduler, &scenario)
+            .unwrap();
+        let issued = scheduler.issued.into_inner();
+        assert_eq!(issued.len(), report.frames().len());
+        assert_eq!(profile.cost_tables_built as usize, 1 + issued.len() / 2);
+        for (frame, schedule) in report.frames().iter().zip(&issued) {
+            let expected = replay.simulate(schedule).unwrap().energy().total_j();
+            assert_eq!(frame.energy_j.to_bits(), expected.to_bits());
+        }
     }
 
     #[test]

@@ -40,7 +40,9 @@ pub struct MemProfile {
     /// Per-stream scalar aggregates plus fixed arrival/utilization
     /// windows (sketch mode only).
     pub agg_bytes: u64,
-    /// Dispatcher service-estimate tables (stream x version x chip).
+    /// Dispatcher service estimates: the per-stream offsets and
+    /// per-(stream, version) workload indices, the (distinct workload x
+    /// chip) estimate table, and the walk's per-stream rows.
     pub estimate_bytes: u64,
 }
 
@@ -105,6 +107,13 @@ pub struct HotPathProfile {
     pub fingerprint_hits: u64,
     /// Fingerprint collisions caught by structural verification.
     pub fingerprint_collisions: u64,
+    /// Full task-graph walks behind memo hits: one per (memo entry,
+    /// graph identity) the entry had not yet verified (see
+    /// [`crate::ctx::ScheduleState::lookup`]).
+    pub verify_graph_walks: u64,
+    /// Compiles whose schedule was not the interned one by pointer and
+    /// fell back to a deep `Schedule` compare.
+    pub schedule_deep_compares: u64,
     /// Stream graphs whose structural fingerprint was precomputed at
     /// init (the "precalculated" memo tier).
     pub precomputed_graph_fingerprints: u64,
@@ -162,6 +171,8 @@ impl HotPathProfile {
         self.fingerprint_lookups += other.fingerprint_lookups;
         self.fingerprint_hits += other.fingerprint_hits;
         self.fingerprint_collisions += other.fingerprint_collisions;
+        self.verify_graph_walks += other.verify_graph_walks;
+        self.schedule_deep_compares += other.schedule_deep_compares;
         self.precomputed_graph_fingerprints += other.precomputed_graph_fingerprints;
         self.cost_tables_built += other.cost_tables_built;
         self.cost_table_entries += other.cost_table_entries;

@@ -6,6 +6,10 @@ use herald_workloads::MultiDnnWorkload;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of [`TaskGraph::identity`] values; 0 is never handed out.
+static NEXT_GRAPH_IDENTITY: AtomicU64 = AtomicU64::new(1);
 
 /// Index of a task (one MAC layer of one model replica) in a
 /// [`TaskGraph`].
@@ -53,6 +57,8 @@ pub struct TaskGraph {
     /// instance offsets), shared by clones made after the first
     /// computation. See [`crate::ctx::ScheduleFingerprint`].
     fingerprint: std::sync::OnceLock<[u64; 2]>,
+    /// See [`TaskGraph::identity`].
+    identity: u64,
 }
 
 impl TaskGraph {
@@ -86,7 +92,18 @@ impl TaskGraph {
             num_classes: class_of.len(),
             total: next,
             fingerprint: std::sync::OnceLock::new(),
+            identity: NEXT_GRAPH_IDENTITY.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// A content identity: unique to each [`TaskGraph::new`] call and
+    /// shared by every clone of its result. A graph is never mutated
+    /// after construction, so two graphs with equal identities have equal
+    /// contents, and a check made against one holds for the other (the
+    /// schedule memo verifies each entry's graph section once per
+    /// identity, see [`crate::ctx::ScheduleState::lookup`]). Never 0.
+    pub(crate) fn identity(&self) -> u64 {
+        self.identity
     }
 
     /// The workload this graph was built from.
