@@ -46,7 +46,7 @@ pub use policy::{
     ControllerPolicy, FleetController, PredictiveRepartitioner, StaticController,
     ThresholdAutoscaler,
 };
-pub(crate) use sim::{simulate_controlled, WalkParams};
+pub(crate) use sim::{simulate_controlled, walk, Estimates, WalkParams};
 pub use sim::{ControlledFleetReport, ControlledFleetSimulator, MissWindow};
 
 use crate::error::HeraldError;
@@ -367,12 +367,21 @@ impl ControlView<'_> {
     ///
     /// # Errors
     ///
-    /// Propagates scheduling/simulation failures for the candidate
-    /// configuration.
+    /// * [`HeraldError::Controller`] — `stream` is not a stream of the
+    ///   scenario;
+    /// * scheduling/simulation failures for the candidate configuration.
     pub fn estimate(&self, stream: usize, config: &AcceleratorConfig) -> Result<f64, HeraldError> {
-        let row = self.estimator.config_row(config);
-        self.estimator
-            .rate(row, self.streams[stream].workload as usize)
+        let row = self
+            .streams
+            .get(stream)
+            .ok_or_else(|| HeraldError::Controller {
+                reason: format!(
+                    "estimate asked for stream {stream} of a {}-stream scenario",
+                    self.streams.len()
+                ),
+            })?;
+        let config_row = self.estimator.config_row(config);
+        self.estimator.rate(config_row, row.workload as usize)
     }
 }
 

@@ -2,12 +2,15 @@
 //! the PR-4 dispatch walk, plus the lazy service-estimate surrogate and
 //! the controlled report with its transient/recovery metrics.
 //!
-//! [`simulate_controlled`] is the one walk both layers share:
-//! [`crate::fleet::FleetSimulator`] delegates to it with no controller
-//! (so the uncontrolled path and the [`StaticController`] path are the
-//! same code, bit-identical by construction), and
-//! [`ControlledFleetSimulator`] passes a [`ControllerConfig`] plus a
-//! live [`FleetController`].
+//! [`walk`] is the one dispatch walk, with three callers:
+//! [`crate::fleet::FleetSimulator`] runs it (through
+//! [`simulate_controlled`]) with no controller, so the uncontrolled path
+//! and the [`StaticController`] path are the same code, bit-identical by
+//! construction; [`ControlledFleetSimulator`] runs it with a
+//! [`ControllerConfig`] plus a live [`FleetController`]; and the fleet
+//! DSE's screening surrogate ([`crate::dse::FleetDseEngine`]) runs it on
+//! each candidate's precomputed estimates and reads every admitted
+//! frame's predicted finish instead of simulating the chips.
 
 use crate::controller::{
     ChipStatus, ChipTelemetry, ControlAction, ControlView, ControllerConfig, FleetController,
@@ -194,12 +197,12 @@ impl WindowAcc {
 }
 
 /// Where per-chip service estimates come from during the walk.
-enum Estimates {
+pub(crate) enum Estimates {
     /// No policy consumes estimates: all zeros (static membership only).
     None,
-    /// The uncontrolled fast path: everything computed up front with a
-    /// plain [`HeraldScheduler`] — exactly the PR-4 code path, kept
-    /// verbatim so the static fleet stays bit-identical.
+    /// Computed up front over a fixed membership: the fleet simulator's
+    /// table from a plain [`HeraldScheduler`], or one fleet DSE
+    /// candidate's columns of the menu table.
     Precomputed(ServiceEstimates),
     /// A live controller may add configurations mid-run, so estimates
     /// are served lazily per (configuration, workload).
@@ -226,426 +229,387 @@ fn rebuilt_slot_pos(route: &[usize], n_slots: usize) -> Vec<Option<usize>> {
     sp
 }
 
-/// Runs one controller decision round at boundary `t_k`: summarizes
-/// every routable slot's window, polls the controller, and validates and
-/// applies (or rejects and records) each returned action in order.
-#[allow(clippy::too_many_arguments)]
-fn process_boundary(
-    t_k: f64,
-    epoch: usize,
-    cfg: &ControllerConfig,
-    controller: &mut dyn FleetController,
-    estimator: &Estimator,
-    scenario: &Scenario,
-    slots: &mut Vec<Slot>,
-    route: &mut Vec<usize>,
-    slot_pos: &mut Vec<Option<usize>>,
-    loads: &mut Vec<ChipLoad>,
-    wins: &mut Vec<WindowAcc>,
-    pins: &mut [Option<usize>],
-    streams: &[WalkRow],
-    events: &mut Vec<ReconfigurationEvent>,
-) -> Result<(), HeraldError> {
-    let num_streams = scenario.streams().len();
-    let cadence = cfg.cadence_s;
-    let telemetry: Vec<ChipTelemetry> = route
-        .iter()
-        .enumerate()
-        .map(|(pos, &slot)| {
-            let win = std::mem::replace(&mut wins[pos], WindowAcc::new(num_streams));
-            ChipTelemetry {
-                slot,
-                chip: slots[slot].label().to_string(),
-                utilization: win.service_s / cadence,
-                backlog_s: loads[pos].backlog_s(t_k),
-                window_frames: win.frames,
-                window_deadline_frames: win.deadline_frames,
-                window_predicted_misses: win.predicted_misses,
-                stream_frames: win.per_stream,
-            }
-        })
-        .collect();
-    let statuses: Vec<ChipStatus> = slots
-        .iter()
-        .enumerate()
-        .map(|(slot, s)| ChipStatus {
-            slot,
-            name: s.label().to_string(),
-            active: s.active,
-            area_mm2: s.config().area_mm2(),
-            config: s.config().clone(),
-        })
-        .collect();
-    let active_area: f64 = statuses
-        .iter()
-        .filter(|s| s.active)
-        .map(|s| s.area_mm2)
-        .sum();
-    let view = ControlView {
-        now_s: t_k,
-        epoch,
-        cadence_s: cadence,
-        chips: statuses,
-        menu: &cfg.menu,
-        max_area_mm2: cfg.max_area_mm2,
-        active_area_mm2: active_area,
-        pins,
-        costs: cfg.costs(),
-        estimator,
-        streams,
-    };
-    let actions = controller.decide(&telemetry, &view)?;
-    drop(view);
+/// The dispatch walk's state, and once [`walk`] returns, its result:
+/// the slots with their routed segments, the audit lists and the
+/// controller's record.
+pub(crate) struct Walk {
+    slots: Vec<Slot>,
+    /// Routable slots, indexed by chip position.
+    route: Vec<usize>,
+    /// Each slot's chip position (`None` once retired).
+    slot_pos: Vec<Option<usize>>,
+    /// Predicted load per chip position.
+    loads: Vec<ChipLoad>,
+    /// Control-window telemetry per chip position.
+    wins: Vec<WindowAcc>,
+    /// Controller pin per stream.
+    pins: Vec<Option<usize>>,
+    streams: Vec<WalkRow>,
+    events: Vec<ReconfigurationEvent>,
+    epochs: usize,
+    /// `(stream, seq, arrival, slot, segment)` per routed frame, kept
+    /// only under the audit trail.
+    assignments: Vec<(usize, usize, f64, usize, usize)>,
+    dropped: Vec<DroppedFrame>,
+    dropped_total: usize,
+}
 
-    let mut active_area = active_area;
-    for action in actions {
-        let record = |applied: bool, detail: String, cost_s: f64| ReconfigurationEvent {
-            epoch,
-            at_s: t_k,
-            action: action.clone(),
-            applied,
-            detail,
-            cost_s,
-            memos_invalidated: 0,
+impl Walk {
+    fn new(fleet: &FleetConfig, est: &Estimates, scenario: &Scenario, controlled: bool) -> Self {
+        let n = fleet.len();
+        let num_streams = scenario.streams().len();
+        let slots = fleet
+            .chips()
+            .iter()
+            .enumerate()
+            .map(|(i, c)| Slot {
+                active: true,
+                est_row: match est {
+                    Estimates::Lazy(e) => e.config_row(c),
+                    _ => 0,
+                },
+                segments: vec![Segment {
+                    config: c.clone(),
+                    label: format!("chip{i}:{}", c.name()),
+                    arrivals: Vec::new(),
+                    repart_event: None,
+                }],
+            })
+            .collect();
+        let route: Vec<usize> = (0..n).collect();
+        // Per-stream window counters only exist for a telemetry-driven
+        // controller; the uncontrolled walk never reads them, so it must
+        // not pay O(chips x streams) memory for them.
+        let win_streams = if controlled { num_streams } else { 0 };
+        Self {
+            slots,
+            slot_pos: rebuilt_slot_pos(&route, n),
+            route,
+            loads: vec![ChipLoad::default(); n],
+            wins: vec![WindowAcc::new(win_streams); n],
+            pins: vec![None; num_streams],
+            // One row per stream: the current version's estimate row and
+            // the deadline, so an arrival reads neither a stream spec nor
+            // a nested estimate table.
+            streams: match est.workloads() {
+                Some(index) => index.walk_rows(scenario),
+                None => scenario
+                    .streams()
+                    .iter()
+                    .map(|s| WalkRow::deadline_only(s.deadline_s()))
+                    .collect(),
+            },
+            events: Vec::new(),
+            epochs: 0,
+            assignments: Vec::new(),
+            dropped: Vec::new(),
+            dropped_total: 0,
+        }
+    }
+
+    /// Runs every controller decision round due at or before `until`
+    /// (none without a controller).
+    fn run_boundaries(
+        &mut self,
+        until: f64,
+        control: &mut Option<(&ControllerConfig, &mut dyn FleetController)>,
+        est: &Estimates,
+        scenario: &Scenario,
+    ) -> Result<(), HeraldError> {
+        let (Some((cfg, controller)), Estimates::Lazy(estimator)) = (control, est) else {
+            return Ok(());
         };
-        let event = match action {
-            ControlAction::ScaleUp { menu_chip } => {
-                if menu_chip >= cfg.menu.len() {
-                    record(
-                        false,
-                        format!(
-                            "menu index {menu_chip} out of range (menu has {} chips)",
-                            cfg.menu.len()
-                        ),
-                        0.0,
-                    )
-                } else {
-                    let chip = &cfg.menu[menu_chip];
-                    let area = chip.area_mm2();
-                    if active_area + area > cfg.max_area_mm2 {
+        while (self.epochs + 1) as f64 * cfg.cadence_s <= until {
+            let epoch = self.epochs + 1;
+            let t_k = epoch as f64 * cfg.cadence_s;
+            self.process_boundary(t_k, epoch, cfg, &mut **controller, estimator, scenario)?;
+            self.epochs = epoch;
+        }
+        Ok(())
+    }
+
+    /// Runs one controller decision round at boundary `t_k`: summarizes
+    /// every routable slot's window, polls the controller, and validates
+    /// and applies (or rejects and records) each returned action in
+    /// order.
+    fn process_boundary(
+        &mut self,
+        t_k: f64,
+        epoch: usize,
+        cfg: &ControllerConfig,
+        controller: &mut dyn FleetController,
+        estimator: &Estimator,
+        scenario: &Scenario,
+    ) -> Result<(), HeraldError> {
+        let num_streams = scenario.streams().len();
+        let cadence = cfg.cadence_s;
+        let telemetry: Vec<ChipTelemetry> = self
+            .route
+            .iter()
+            .enumerate()
+            .map(|(pos, &slot)| {
+                let win = std::mem::replace(&mut self.wins[pos], WindowAcc::new(num_streams));
+                ChipTelemetry {
+                    slot,
+                    chip: self.slots[slot].label().to_string(),
+                    utilization: win.service_s / cadence,
+                    backlog_s: self.loads[pos].backlog_s(t_k),
+                    window_frames: win.frames,
+                    window_deadline_frames: win.deadline_frames,
+                    window_predicted_misses: win.predicted_misses,
+                    stream_frames: win.per_stream,
+                }
+            })
+            .collect();
+        let statuses: Vec<ChipStatus> = self
+            .slots
+            .iter()
+            .enumerate()
+            .map(|(slot, s)| ChipStatus {
+                slot,
+                name: s.label().to_string(),
+                active: s.active,
+                area_mm2: s.config().area_mm2(),
+                config: s.config().clone(),
+            })
+            .collect();
+        let active_area: f64 = statuses
+            .iter()
+            .filter(|s| s.active)
+            .map(|s| s.area_mm2)
+            .sum();
+        let view = ControlView {
+            now_s: t_k,
+            epoch,
+            cadence_s: cadence,
+            chips: statuses,
+            menu: &cfg.menu,
+            max_area_mm2: cfg.max_area_mm2,
+            active_area_mm2: active_area,
+            pins: &self.pins,
+            costs: cfg.costs(),
+            estimator,
+            streams: &self.streams,
+        };
+        let actions = controller.decide(&telemetry, &view)?;
+        drop(view);
+
+        let mut active_area = active_area;
+        for action in actions {
+            let record = |applied: bool, detail: String, cost_s: f64| ReconfigurationEvent {
+                epoch,
+                at_s: t_k,
+                action: action.clone(),
+                applied,
+                detail,
+                cost_s,
+                memos_invalidated: 0,
+            };
+            let event = match action {
+                ControlAction::ScaleUp { menu_chip } => {
+                    if menu_chip >= cfg.menu.len() {
                         record(
                             false,
                             format!(
-                                "over area budget: {:.2} + {:.2} > {:.2} mm2",
-                                active_area, area, cfg.max_area_mm2
+                                "menu index {menu_chip} out of range (menu has {} chips)",
+                                cfg.menu.len()
                             ),
                             0.0,
                         )
                     } else {
-                        let slot = slots.len();
-                        let label = format!("chip{slot}:{}@e{epoch}", chip.name());
-                        slots.push(Slot {
-                            active: true,
-                            est_row: estimator.config_row(chip),
-                            segments: vec![Segment {
-                                config: chip.clone(),
-                                label: label.clone(),
-                                arrivals: Vec::new(),
-                                repart_event: None,
-                            }],
-                        });
-                        route.push(slot);
-                        loads.push(ChipLoad {
-                            free_at_s: t_k + cfg.scale_up_cost_s,
-                            dispatched: 0,
-                        });
-                        wins.push(WindowAcc::new(num_streams));
-                        *slot_pos = rebuilt_slot_pos(route, slots.len());
-                        active_area += area;
-                        record(
-                            true,
-                            format!("added {label} ({area:.2} mm2)"),
-                            cfg.scale_up_cost_s,
-                        )
-                    }
-                }
-            }
-            ControlAction::ScaleDown { slot } => {
-                if slot >= slots.len() || !slots[slot].active {
-                    record(false, format!("slot {slot} is not live"), 0.0)
-                } else if route.len() <= 1 {
-                    record(false, "cannot retire the last live chip".to_string(), 0.0)
-                } else {
-                    let pos = slot_pos[slot].expect("active slot is routable");
-                    let backlog = loads[pos].backlog_s(t_k);
-                    slots[slot].active = false;
-                    route.remove(pos);
-                    loads.remove(pos);
-                    wins.remove(pos);
-                    *slot_pos = rebuilt_slot_pos(route, slots.len());
-                    for pin in pins.iter_mut() {
-                        if *pin == Some(slot) {
-                            *pin = None;
-                        }
-                    }
-                    active_area -= slots[slot].config().area_mm2();
-                    record(
-                        true,
-                        format!(
-                            "retired slot {slot}; predicted backlog {backlog:.4} s drains in place"
-                        ),
-                        0.0,
-                    )
-                }
-            }
-            ControlAction::MigrateStream { stream, to_slot } => {
-                if stream >= num_streams {
-                    record(false, format!("stream {stream} out of range"), 0.0)
-                } else if to_slot >= slots.len() || !slots[to_slot].active {
-                    record(
-                        false,
-                        format!("destination slot {to_slot} is not live"),
-                        0.0,
-                    )
-                } else if pins[stream] == Some(to_slot) {
-                    record(
-                        false,
-                        format!("stream {stream} is already pinned to slot {to_slot}"),
-                        0.0,
-                    )
-                } else {
-                    pins[stream] = Some(to_slot);
-                    let pos = slot_pos[to_slot].expect("active slot is routable");
-                    loads[pos].free_at_s = loads[pos].free_at_s.max(t_k) + cfg.migrate_cost_s;
-                    record(
-                        true,
-                        format!(
-                            "pinned stream {stream} ({}) to slot {to_slot}",
-                            scenario.streams()[stream].name()
-                        ),
-                        cfg.migrate_cost_s,
-                    )
-                }
-            }
-            ControlAction::Repartition {
-                slot,
-                ref partition,
-            } => {
-                if slot >= slots.len() || !slots[slot].active {
-                    record(false, format!("slot {slot} is not live"), 0.0)
-                } else if !matches!(slots[slot].config().style(), AcceleratorStyle::Hda(_)) {
-                    record(false, format!("slot {slot} is not an HDA chip"), 0.0)
-                } else {
-                    let cur = slots[slot].config().clone();
-                    let res = HardwareResources::new(
-                        cur.total_pes(),
-                        cur.total_bandwidth_gbps(),
-                        cur.global_buffer_bytes(),
-                    );
-                    let built = if cur.name() == "Maelstrom" {
-                        AcceleratorConfig::maelstrom(res, partition.clone())
-                    } else if let AcceleratorStyle::Hda(styles) = cur.style() {
-                        AcceleratorConfig::hda(styles, res, partition.clone())
-                    } else {
-                        unreachable!("checked above")
-                    };
-                    match built {
-                        Err(e) => record(false, format!("rejected split: {e}"), 0.0),
-                        Ok(candidate) if candidate == cur => {
-                            record(false, "partition unchanged".to_string(), 0.0)
-                        }
-                        Ok(candidate) => {
-                            let pos = slot_pos[slot].expect("active slot is routable");
-                            let label = format!("chip{slot}:{}@e{epoch}", candidate.name());
-                            slots[slot].est_row = estimator.config_row(&candidate);
-                            slots[slot].segments.push(Segment {
-                                config: candidate,
-                                label: label.clone(),
-                                arrivals: Vec::new(),
-                                repart_event: Some(events.len()),
+                        let chip = &cfg.menu[menu_chip];
+                        let area = chip.area_mm2();
+                        if active_area + area > cfg.max_area_mm2 {
+                            record(
+                                false,
+                                format!(
+                                    "over area budget: {:.2} + {:.2} > {:.2} mm2",
+                                    active_area, area, cfg.max_area_mm2
+                                ),
+                                0.0,
+                            )
+                        } else {
+                            let slot = self.slots.len();
+                            let label = format!("chip{slot}:{}@e{epoch}", chip.name());
+                            self.slots.push(Slot {
+                                active: true,
+                                est_row: estimator.config_row(chip),
+                                segments: vec![Segment {
+                                    config: chip.clone(),
+                                    label: label.clone(),
+                                    arrivals: Vec::new(),
+                                    repart_event: None,
+                                }],
                             });
-                            loads[pos].free_at_s =
-                                loads[pos].free_at_s.max(t_k) + cfg.repartition_cost_s;
+                            self.route.push(slot);
+                            self.loads.push(ChipLoad {
+                                free_at_s: t_k + cfg.scale_up_cost_s,
+                                dispatched: 0,
+                            });
+                            self.wins.push(WindowAcc::new(num_streams));
+                            self.slot_pos = rebuilt_slot_pos(&self.route, self.slots.len());
+                            active_area += area;
                             record(
                                 true,
-                                format!("re-split slot {slot} as {label}"),
-                                cfg.repartition_cost_s,
+                                format!("added {label} ({area:.2} mm2)"),
+                                cfg.scale_up_cost_s,
                             )
                         }
                     }
                 }
-            }
-        };
-        events.push(event);
-    }
-    Ok(())
-}
-
-/// The shared fleet walk (see the module docs): phase-1 epoch-based
-/// dispatch with optional controller decision rounds, then phase-2
-/// per-slot segment simulation. Returns the report beside the merged
-/// [`HotPathProfile`] of every per-chip run plus the walk's own byte
-/// accounting (`timed` additionally collects wall-clock phase timers,
-/// phase 1's as `walk_ns`).
-pub(crate) fn simulate_controlled(
-    chips: &[AcceleratorConfig],
-    audit: bool,
-    params: &WalkParams,
-    dispatcher: &mut dyn Dispatcher,
-    scenario: &Scenario,
-    control: Option<(&ControllerConfig, &mut dyn FleetController)>,
-    timed: bool,
-) -> Result<(ControlledFleetReport, HotPathProfile), HeraldError> {
-    if chips.is_empty() {
-        return Err(HeraldError::Fleet {
-            reason: format!("fleet serving scenario {:?} has no chips", scenario.name()),
-        });
-    }
-    if let AdmissionPolicy::DeadlineSlack { slack } = params.admission {
-        if !(slack.is_finite() && slack > 0.0) {
-            return Err(HeraldError::Fleet {
-                reason: format!("admission slack must be positive and finite, got {slack}"),
-            });
-        }
-    }
-    validate_scenario(scenario)?;
-    reject_chained(scenario, "the fleet controller's epoch walk")?;
-    let (ctrl_cfg, mut controller) = match control {
-        Some((c, f)) => {
-            c.validate()?;
-            (Some(c), Some(f))
-        }
-        None => (None, None),
-    };
-    let controller_name = controller
-        .as_ref()
-        .map_or_else(|| "static".to_string(), |c| c.name().to_string());
-    let controller_active = controller.as_ref().is_some_and(|c| c.needs_telemetry());
-    let cadence = ctrl_cfg.map_or(0.0, |c| c.cadence_s);
-
-    let n = chips.len();
-    let horizon = scenario.horizon_s();
-    let num_streams = scenario.streams().len();
-    let needs_estimates = dispatcher.needs_estimates()
-        || !matches!(params.admission, AdmissionPolicy::AcceptAll)
-        || controller_active;
-
-    // Phase 1 (timed as `walk_ns`) starts with the estimate build.
-    let walk_t0 = timed.then(Instant::now);
-    let est = if controller_active {
-        Estimates::Lazy(Estimator::new(scenario, params.scheduler))
-    } else if needs_estimates {
-        let scheduler = HeraldScheduler::new(params.scheduler);
-        let cost = CostModel::default();
-        Estimates::Precomputed(service_estimates_with(scenario, chips, |graph, chip| {
-            Ok(scheduler
-                .schedule_and_simulate(graph, chip, &cost)?
-                .total_latency_s())
-        })?)
-    } else {
-        Estimates::None
-    };
-
-    // Phase 1: the epoch-based dispatch walk. With no active controller
-    // this is exactly the PR-4 walk (identity routing over a fixed
-    // membership); with one, epoch boundaries interleave with events in
-    // deterministic time order.
-    let mut slots: Vec<Slot> = chips
-        .iter()
-        .enumerate()
-        .map(|(i, c)| Slot {
-            active: true,
-            est_row: match &est {
-                Estimates::Lazy(e) => e.config_row(c),
-                _ => 0,
-            },
-            segments: vec![Segment {
-                config: c.clone(),
-                label: format!("chip{i}:{}", c.name()),
-                arrivals: Vec::new(),
-                repart_event: None,
-            }],
-        })
-        .collect();
-    let mut route: Vec<usize> = (0..n).collect();
-    let mut slot_pos = rebuilt_slot_pos(&route, n);
-    let mut loads = vec![ChipLoad::default(); n];
-    // Per-stream window counters only exist for a telemetry-driven
-    // controller; the uncontrolled walk never reads them, so it must
-    // not pay O(chips x streams) memory for them.
-    let win_streams = if controller_active { num_streams } else { 0 };
-    let mut wins = vec![WindowAcc::new(win_streams); n];
-    let mut pins: Vec<Option<usize>> = vec![None; num_streams];
-    // One row per stream: the current version's estimate row and the
-    // deadline, so an arrival reads neither a stream spec nor a nested
-    // estimate table.
-    let mut streams: Vec<WalkRow> = match est.workloads() {
-        Some(index) => index.walk_rows(scenario),
-        None => scenario
-            .streams()
-            .iter()
-            .map(|s| WalkRow::deadline_only(s.deadline_s()))
-            .collect(),
-    };
-    let zeros = vec![0.0f64; n];
-    let mut est_buf: Vec<f64> = Vec::new();
-    let mut tmp_assignments: Vec<(usize, usize, f64, usize, usize)> = Vec::new();
-    let mut dropped: Vec<DroppedFrame> = Vec::new();
-    let mut dropped_total = 0usize;
-    let mut events: Vec<ReconfigurationEvent> = Vec::new();
-    let mut epochs = 0usize;
-
-    let mut run_boundaries = |until: f64,
-                              slots: &mut Vec<Slot>,
-                              route: &mut Vec<usize>,
-                              slot_pos: &mut Vec<Option<usize>>,
-                              loads: &mut Vec<ChipLoad>,
-                              wins: &mut Vec<WindowAcc>,
-                              pins: &mut [Option<usize>],
-                              streams: &[WalkRow],
-                              events: &mut Vec<ReconfigurationEvent>,
-                              epochs: &mut usize|
-     -> Result<(), HeraldError> {
-        if !controller_active {
-            return Ok(());
-        }
-        let (Estimates::Lazy(estimator), Some(cfg), Some(ctl)) =
-            (&est, ctrl_cfg, controller.as_deref_mut())
-        else {
-            return Ok(());
-        };
-        while (*epochs + 1) as f64 * cfg.cadence_s <= until {
-            let epoch = *epochs + 1;
-            let t_k = epoch as f64 * cfg.cadence_s;
-            process_boundary(
-                t_k, epoch, cfg, ctl, estimator, scenario, slots, route, slot_pos, loads, wins,
-                pins, streams, events,
-            )?;
-            *epochs = epoch;
+                ControlAction::ScaleDown { slot } => {
+                    if slot >= self.slots.len() || !self.slots[slot].active {
+                        record(false, format!("slot {slot} is not live"), 0.0)
+                    } else if self.route.len() <= 1 {
+                        record(false, "cannot retire the last live chip".to_string(), 0.0)
+                    } else {
+                        let pos = self.slot_pos[slot].expect("active slot is routable");
+                        let backlog = self.loads[pos].backlog_s(t_k);
+                        self.slots[slot].active = false;
+                        self.route.remove(pos);
+                        self.loads.remove(pos);
+                        self.wins.remove(pos);
+                        self.slot_pos = rebuilt_slot_pos(&self.route, self.slots.len());
+                        for pin in &mut self.pins {
+                            if *pin == Some(slot) {
+                                *pin = None;
+                            }
+                        }
+                        active_area -= self.slots[slot].config().area_mm2();
+                        record(
+                            true,
+                            format!(
+                                "retired slot {slot}; predicted backlog {backlog:.4} s drains in place"
+                            ),
+                            0.0,
+                        )
+                    }
+                }
+                ControlAction::MigrateStream { stream, to_slot } => {
+                    if stream >= num_streams {
+                        record(false, format!("stream {stream} out of range"), 0.0)
+                    } else if to_slot >= self.slots.len() || !self.slots[to_slot].active {
+                        record(
+                            false,
+                            format!("destination slot {to_slot} is not live"),
+                            0.0,
+                        )
+                    } else if self.pins[stream] == Some(to_slot) {
+                        record(
+                            false,
+                            format!("stream {stream} is already pinned to slot {to_slot}"),
+                            0.0,
+                        )
+                    } else {
+                        self.pins[stream] = Some(to_slot);
+                        let pos = self.slot_pos[to_slot].expect("active slot is routable");
+                        let load = &mut self.loads[pos];
+                        load.free_at_s = load.free_at_s.max(t_k) + cfg.migrate_cost_s;
+                        record(
+                            true,
+                            format!(
+                                "pinned stream {stream} ({}) to slot {to_slot}",
+                                scenario.streams()[stream].name()
+                            ),
+                            cfg.migrate_cost_s,
+                        )
+                    }
+                }
+                ControlAction::Repartition {
+                    slot,
+                    ref partition,
+                } => {
+                    if slot >= self.slots.len() || !self.slots[slot].active {
+                        record(false, format!("slot {slot} is not live"), 0.0)
+                    } else if !matches!(self.slots[slot].config().style(), AcceleratorStyle::Hda(_))
+                    {
+                        record(false, format!("slot {slot} is not an HDA chip"), 0.0)
+                    } else {
+                        let cur = self.slots[slot].config().clone();
+                        let res = HardwareResources::new(
+                            cur.total_pes(),
+                            cur.total_bandwidth_gbps(),
+                            cur.global_buffer_bytes(),
+                        );
+                        let built = if cur.name() == "Maelstrom" {
+                            AcceleratorConfig::maelstrom(res, partition.clone())
+                        } else if let AcceleratorStyle::Hda(styles) = cur.style() {
+                            AcceleratorConfig::hda(styles, res, partition.clone())
+                        } else {
+                            unreachable!("checked above")
+                        };
+                        match built {
+                            Err(e) => record(false, format!("rejected split: {e}"), 0.0),
+                            Ok(candidate) if candidate == cur => {
+                                record(false, "partition unchanged".to_string(), 0.0)
+                            }
+                            Ok(candidate) => {
+                                let pos = self.slot_pos[slot].expect("active slot is routable");
+                                let label = format!("chip{slot}:{}@e{epoch}", candidate.name());
+                                self.slots[slot].est_row = estimator.config_row(&candidate);
+                                self.slots[slot].segments.push(Segment {
+                                    config: candidate,
+                                    label: label.clone(),
+                                    arrivals: Vec::new(),
+                                    repart_event: Some(self.events.len()),
+                                });
+                                let load = &mut self.loads[pos];
+                                load.free_at_s = load.free_at_s.max(t_k) + cfg.repartition_cost_s;
+                                record(
+                                    true,
+                                    format!("re-split slot {slot} as {label}"),
+                                    cfg.repartition_cost_s,
+                                )
+                            }
+                        }
+                    }
+                }
+            };
+            self.events.push(event);
         }
         Ok(())
-    };
+    }
+}
 
+/// Phase 1, the dispatch walk, over validated inputs (see the module
+/// docs for its three callers). Every arrival of `scenario`, in global
+/// event order, is routed to a chip position by a controller pin or by
+/// `dispatcher`, and is dropped or admitted under `admission`; `control`,
+/// when given, runs its decision rounds at epoch boundaries in time
+/// order with the events and needs [`Estimates::Lazy`]. `on_admit` sees
+/// each admitted frame with its chip position and its predicted finish.
+pub(crate) fn walk(
+    fleet: &FleetConfig,
+    admission: AdmissionPolicy,
+    dispatcher: &mut dyn Dispatcher,
+    scenario: &Scenario,
+    est: &Estimates,
+    mut control: Option<(&ControllerConfig, &mut dyn FleetController)>,
+    mut on_admit: impl FnMut(&FrameView<'_>, usize, f64),
+) -> Result<Walk, HeraldError> {
+    let controlled = control.is_some();
+    let mut w = Walk::new(fleet, est, scenario, controlled);
+    let zeros = vec![0.0f64; fleet.len()];
+    let mut est_buf: Vec<f64> = Vec::new();
     for event in MergedTrace::new(scenario) {
-        run_boundaries(
-            event.t,
-            &mut slots,
-            &mut route,
-            &mut slot_pos,
-            &mut loads,
-            &mut wins,
-            &mut pins,
-            &streams,
-            &mut events,
-            &mut epochs,
-        )?;
+        w.run_boundaries(event.t, &mut control, est, scenario)?;
         let seq = match event.kind {
             EventKind::Swap { .. } => {
                 if let Some(index) = est.workloads() {
-                    streams[event.stream].swap(index);
+                    w.streams[event.stream].swap(index);
                 }
                 continue;
             }
             EventKind::Arrival { seq } => seq,
         };
-        let row = streams[event.stream];
-        let est_slice: &[f64] = match &est {
+        let row = w.streams[event.stream];
+        let est_slice: &[f64] = match est {
             Estimates::None => &zeros,
             Estimates::Precomputed(e) => e.row(row.workload),
             Estimates::Lazy(e) => {
                 est_buf.clear();
-                for &slot in &route {
-                    est_buf.push(e.rate(slots[slot].est_row, row.workload as usize)?);
+                for &slot in &w.route {
+                    est_buf.push(e.rate(w.slots[slot].est_row, row.workload as usize)?);
                 }
                 &est_buf
             }
@@ -660,64 +624,65 @@ pub(crate) fn simulate_controlled(
         // Pinned streams bypass the dispatcher entirely (its internal
         // state does not advance for them); unpinned frames route
         // normally.
-        let pos = match pins[event.stream].and_then(|slot| slot_pos[slot]) {
+        let pos = match w.pins[event.stream].and_then(|slot| w.slot_pos[slot]) {
             Some(pos) => pos,
             None => {
-                let pos = dispatcher.dispatch(&frame, &loads);
-                if pos >= route.len() {
+                let pos = dispatcher.dispatch(&frame, &w.loads);
+                if pos >= w.route.len() {
                     return Err(HeraldError::Fleet {
                         reason: format!(
                             "dispatcher {:?} chose chip {pos} of a {}-chip fleet",
                             dispatcher.name(),
-                            route.len()
+                            w.route.len()
                         ),
                     });
                 }
                 pos
             }
         };
-        if let AdmissionPolicy::DeadlineSlack { slack } = params.admission {
-            if let Some(deadline) = frame.deadline_s {
-                let finish = frame.predicted_finish_s(pos, &loads[pos]);
-                if finish > event.t + slack * deadline {
-                    dropped_total += 1;
-                    if audit {
-                        dropped.push(DroppedFrame {
-                            stream: event.stream,
-                            seq,
-                            arrival_s: event.t,
-                            predicted_finish_s: finish,
-                        });
-                    }
-                    continue;
+        // Predicted before this frame's own service time is queued.
+        let finish = frame.predicted_finish_s(pos, &w.loads[pos]);
+        if let (AdmissionPolicy::DeadlineSlack { slack }, Some(deadline)) =
+            (admission, frame.deadline_s)
+        {
+            if finish > event.t + slack * deadline {
+                w.dropped_total += 1;
+                if fleet.audit_trail() {
+                    w.dropped.push(DroppedFrame {
+                        stream: event.stream,
+                        seq,
+                        arrival_s: event.t,
+                        predicted_finish_s: finish,
+                    });
                 }
+                continue;
             }
         }
-        if controller_active {
-            // Window telemetry reads the backlog model *before* this
-            // frame's own service time is queued.
-            let win = &mut wins[pos];
+        on_admit(&frame, pos, finish);
+        if controlled {
+            let win = &mut w.wins[pos];
             win.frames += 1;
             win.service_s += est_slice[pos];
             win.per_stream[event.stream] += 1;
             if let Some(d) = frame.deadline_s {
                 win.deadline_frames += 1;
-                if frame.predicted_finish_s(pos, &loads[pos]) > event.t + d {
+                if finish > event.t + d {
                     win.predicted_misses += 1;
                 }
             }
         }
-        if needs_estimates {
-            loads[pos].free_at_s = loads[pos].free_at_s.max(event.t) + est_slice[pos];
+        if !matches!(est, Estimates::None) {
+            let load = &mut w.loads[pos];
+            load.free_at_s = load.free_at_s.max(event.t) + est_slice[pos];
         }
-        loads[pos].dispatched += 1;
-        let slot = route[pos];
-        let seg = slots[slot].segments.len() - 1;
-        if audit {
-            tmp_assignments.push((event.stream, seq, event.t, slot, seg));
+        w.loads[pos].dispatched += 1;
+        let slot = w.route[pos];
+        let segments = &mut w.slots[slot].segments;
+        if fleet.audit_trail() {
+            w.assignments
+                .push((event.stream, seq, event.t, slot, segments.len() - 1));
         }
-        slots[slot]
-            .segments
+        segments
             .last_mut()
             .expect("a slot always has at least one segment")
             .arrivals
@@ -727,17 +692,77 @@ pub(crate) fn simulate_controlled(
     // produce telemetry (empty windows are meaningful — an autoscaler
     // uses them to scale back down) and keep the epoch count a pure
     // function of (horizon, cadence).
-    run_boundaries(
-        horizon,
-        &mut slots,
-        &mut route,
-        &mut slot_pos,
-        &mut loads,
-        &mut wins,
-        &mut pins,
-        &streams,
-        &mut events,
-        &mut epochs,
+    w.run_boundaries(scenario.horizon_s(), &mut control, est, scenario)?;
+    Ok(w)
+}
+
+/// The shared fleet run (see the module docs): validation, the service
+/// estimates, phase 1 ([`walk`]) and phase 2, the per-slot segment
+/// simulations. Returns the report beside the merged
+/// [`HotPathProfile`] of every per-chip run plus the walk's own byte
+/// accounting (`timed` additionally collects wall-clock phase timers,
+/// phase 1's as `walk_ns`).
+pub(crate) fn simulate_controlled(
+    fleet: &FleetConfig,
+    params: &WalkParams,
+    dispatcher: &mut dyn Dispatcher,
+    scenario: &Scenario,
+    control: Option<(&ControllerConfig, &mut dyn FleetController)>,
+    timed: bool,
+) -> Result<(ControlledFleetReport, HotPathProfile), HeraldError> {
+    if fleet.is_empty() {
+        return Err(HeraldError::Fleet {
+            reason: format!("fleet serving scenario {:?} has no chips", scenario.name()),
+        });
+    }
+    if let AdmissionPolicy::DeadlineSlack { slack } = params.admission {
+        if !(slack.is_finite() && slack > 0.0) {
+            return Err(HeraldError::Fleet {
+                reason: format!("admission slack must be positive and finite, got {slack}"),
+            });
+        }
+    }
+    validate_scenario(scenario)?;
+    reject_chained(scenario, "the fleet controller's epoch walk")?;
+    if let Some((c, _)) = &control {
+        c.validate()?;
+    }
+    let controller_name = control
+        .as_ref()
+        .map_or_else(|| "static".to_string(), |(_, c)| c.name().to_string());
+    let cadence = control.as_ref().map_or(0.0, |(c, _)| c.cadence_s);
+    // Controllers that need no telemetry are never polled.
+    let control = control.filter(|(_, c)| c.needs_telemetry());
+
+    // Phase 1 (timed as `walk_ns`) starts with the estimate build.
+    let walk_t0 = timed.then(Instant::now);
+    let est = if control.is_some() {
+        Estimates::Lazy(Estimator::new(scenario, params.scheduler))
+    } else if dispatcher.needs_estimates()
+        || !matches!(params.admission, AdmissionPolicy::AcceptAll)
+    {
+        let scheduler = HeraldScheduler::new(params.scheduler);
+        let cost = CostModel::default();
+        Estimates::Precomputed(service_estimates_with(
+            scenario,
+            fleet.chips(),
+            |graph, chip| {
+                Ok(scheduler
+                    .schedule_and_simulate(graph, chip, &cost)?
+                    .total_latency_s())
+            },
+        )?)
+    } else {
+        Estimates::None
+    };
+    let mut w = walk(
+        fleet,
+        params.admission,
+        dispatcher,
+        scenario,
+        &est,
+        control,
+        |_, _, _| {},
     )?;
     let walk_ns = walk_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
 
@@ -761,9 +786,9 @@ pub(crate) fn simulate_controlled(
     );
     let mut walk_mem = crate::sim::MemProfile::default();
     let mut labels: Vec<String> = Vec::new();
-    let mut flat_of: Vec<Vec<usize>> = Vec::with_capacity(slots.len());
-    let mut jobs: Vec<Vec<SegJob>> = Vec::with_capacity(slots.len());
-    for slot in &mut slots {
+    let mut flat_of: Vec<Vec<usize>> = Vec::with_capacity(w.slots.len());
+    let mut jobs: Vec<Vec<SegJob>> = Vec::with_capacity(w.slots.len());
+    for slot in &mut w.slots {
         let mut slot_flat = Vec::with_capacity(slot.segments.len());
         let mut slot_jobs = Vec::with_capacity(slot.segments.len());
         for seg in &mut slot.segments {
@@ -876,10 +901,11 @@ pub(crate) fn simulate_controlled(
         per_chip.extend(reports);
         profile.merge(&slot_profile);
         for (ev, count) in patches {
-            events[ev].memos_invalidated = count;
+            w.events[ev].memos_invalidated = count;
         }
     }
-    let assignments: Vec<FrameAssignment> = tmp_assignments
+    let assignments: Vec<FrameAssignment> = w
+        .assignments
         .into_iter()
         .map(|(stream, seq, arrival_s, slot, seg)| FrameAssignment {
             stream,
@@ -889,7 +915,7 @@ pub(crate) fn simulate_controlled(
         })
         .collect();
     walk_mem.audit_bytes = (assignments.capacity() * std::mem::size_of::<FrameAssignment>()
-        + dropped.capacity() * std::mem::size_of::<DroppedFrame>())
+        + w.dropped.capacity() * std::mem::size_of::<DroppedFrame>())
         as u64;
     walk_mem.estimate_bytes = match &est {
         Estimates::None => 0,
@@ -903,18 +929,18 @@ pub(crate) fn simulate_controlled(
         ControlledFleetReport {
             controller: controller_name,
             cadence_s: cadence,
-            epochs,
-            events,
+            epochs: w.epochs,
+            events: w.events,
             fleet: FleetReport::new(
                 scenario.name().to_string(),
                 dispatcher.name().to_string(),
                 labels,
                 stream_names,
-                horizon,
+                scenario.horizon_s(),
                 per_chip,
                 assignments,
-                dropped,
-                dropped_total,
+                w.dropped,
+                w.dropped_total,
             ),
         },
         profile,
@@ -1203,8 +1229,7 @@ impl<'a> ControlledFleetSimulator<'a> {
         let mut dispatcher = self.dispatcher.build();
         let mut controller = self.control.policy.build();
         simulate_controlled(
-            self.fleet.chips(),
-            self.fleet.audit_trail(),
+            self.fleet,
             &self.params(),
             dispatcher.as_mut(),
             scenario,
@@ -1237,8 +1262,7 @@ impl<'a> ControlledFleetSimulator<'a> {
         scenario: &Scenario,
     ) -> Result<ControlledFleetReport, HeraldError> {
         simulate_controlled(
-            self.fleet.chips(),
-            self.fleet.audit_trail(),
+            self.fleet,
             &self.params(),
             dispatcher,
             scenario,
@@ -1285,6 +1309,28 @@ mod tests {
             let i = self.next;
             self.next += 1;
             Ok(self.script.get(i).cloned().unwrap_or_default())
+        }
+    }
+
+    /// Asks the view for one stream's estimate on slot 0's configuration
+    /// at every boundary and keeps the last answer.
+    struct EstimateProbe {
+        stream: usize,
+        seen: Option<f64>,
+    }
+
+    impl FleetController for EstimateProbe {
+        fn name(&self) -> &'static str {
+            "estimate-probe"
+        }
+
+        fn decide(
+            &mut self,
+            _telemetry: &[ChipTelemetry],
+            view: &ControlView<'_>,
+        ) -> Result<Vec<ControlAction>, HeraldError> {
+            self.seen = Some(view.estimate(self.stream, &view.chips[0].config)?);
+            Ok(Vec::new())
         }
     }
 
@@ -1390,11 +1436,36 @@ mod tests {
         assert_eq!(checked, (4 + 2 + 1) * chips.len());
         // Three distinct workloads: three rows of three chips, and one
         // index entry per (stream, version).
-        assert_eq!(flat.columns(&[0, 1, 2]).len(), 3 * 3);
+        let cols = flat.columns(&[1, 0]);
+        for w in 0..3 {
+            assert_eq!(cols.row(w), [flat.row(w)[1], flat.row(w)[0]]);
+        }
         assert_eq!(
             flat.memory_bytes(),
             ((scenario.streams().len() + 1 + 7) * 4 + 3 * 3 * 8) as u64
         );
+    }
+
+    #[test]
+    fn estimates_of_unknown_streams_are_typed_errors() {
+        let fleet = FleetConfig::homogeneous(&fda(), 2);
+        let cfg = ControllerConfig::new(1.0, ControllerPolicy::Static);
+        let scenario = periodic_scenario();
+        let run = |stream: usize| {
+            let mut dispatcher = DispatchPolicy::LeastLoaded.build();
+            let mut probe = EstimateProbe { stream, seen: None };
+            ControlledFleetSimulator::new(&fleet, &cfg)
+                .simulate_with(dispatcher.as_mut(), &mut probe, &scenario)
+                .map(|_| probe.seen)
+        };
+        let seen = run(1).unwrap();
+        assert!(seen.is_some_and(|e| e > 0.0), "{seen:?}");
+        match run(999) {
+            Err(HeraldError::Controller { reason }) => {
+                assert!(reason.contains("stream 999 of a 2-stream"), "{reason}");
+            }
+            other => panic!("expected a controller error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -27,17 +27,17 @@
 //!    every frame (equal service estimates make earliest-finish and
 //!    smallest-backlog the same argmin, with the same index tie-break).
 //! 3. **Dominance pruning** — every remaining candidate gets a cheap
-//!    *predicted* evaluation: the same deterministic dispatch walk the
-//!    fleet simulator runs (backlog model over the exact global arrival
-//!    trace, service estimates memoized in the shared [`EvalContext`]
-//!    across all candidates), without any per-chip event simulation.
-//!    Candidates whose predicted objective vector is Pareto-dominated
-//!    by another candidate's are skipped; only the predicted frontier
-//!    is fully simulated (in
-//!    parallel, one `std::thread::scope` worker per chunk, each fleet
-//!    simulation giving every chip its own private context). The
-//!    screening is a standard surrogate heuristic: the reported
-//!    frontier is exact over the simulated survivors.
+//!    *predicted* evaluation: the fleet simulator's own dispatch walk
+//!    (backlog model over the exact global arrival trace, service
+//!    estimates memoized in the shared [`EvalContext`] across all
+//!    candidates), reading each admitted frame's predicted finish
+//!    instead of running any per-chip event simulation. Candidates
+//!    whose predicted objective vector is Pareto-dominated by another
+//!    candidate's are skipped; only the predicted frontier is fully
+//!    simulated (in parallel, one `std::thread::scope` worker per
+//!    chunk, each fleet simulation giving every chip its own private
+//!    context). The screening is a standard surrogate heuristic: the
+//!    reported frontier is exact over the simulated survivors.
 //!
 //! The ergonomic entry point is `herald::Experiment::fleet_search` in
 //! the umbrella crate, which can also derive the chip menu from a
@@ -66,17 +66,17 @@
 //! # }
 //! ```
 
+use crate::controller::{walk, Estimates};
 use crate::ctx::EvalContext;
-use crate::dse::worker_panic_error;
+use crate::dse::map_chunked;
 use crate::error::HeraldError;
-use crate::fleet::FrameView;
 use crate::fleet::{
-    service_estimates_with, AdmissionPolicy, ChipLoad, DispatchPolicy, FleetConfig, FleetSimulator,
+    service_estimates_with, AdmissionPolicy, DispatchPolicy, FleetConfig, FleetSimulator,
     ServiceEstimates,
 };
 use crate::pareto::pareto_frontier_nd;
 use crate::sched::{HeraldScheduler, IncrementalScheduler, Scheduler, SchedulerConfig};
-use crate::sim::engine::{reject_chained, sorted_trace, validate_scenario, Event, EventKind};
+use crate::sim::engine::{reject_chained, validate_scenario};
 use crate::sim::report::{percentile, QuantileSketch, ReportMode};
 use herald_arch::AcceleratorConfig;
 use herald_cost::Metric;
@@ -114,10 +114,11 @@ pub struct FleetDseConfig {
     pub metric: Metric,
     /// How evaluations aggregate per-frame observations. `Exact` (the
     /// default) keeps every frame latency; `Sketch` streams them
-    /// through a [`QuantileSketch`] — both the surrogate screening walk
-    /// and the full fleet simulations then run at O(1) memory per
-    /// candidate, with report-level percentiles within the sketch's
-    /// relative-error bound.
+    /// through a [`QuantileSketch`], with report-level percentiles
+    /// within the sketch's relative-error bound. Either way the
+    /// surrogate screening walk holds its routed arrival lists (16 B per
+    /// admitted frame) while it screens one candidate, which is no more
+    /// than that candidate's full simulation allocates.
     #[serde(default)]
     pub report: ReportMode,
     /// Simulate surviving candidates on worker threads.
@@ -347,6 +348,15 @@ struct CandidateSpec {
     area_mm2: f64,
 }
 
+impl CandidateSpec {
+    /// The composition's fleet, chips in composition order.
+    fn fleet(&self, menu: &[AcceleratorConfig]) -> FleetConfig {
+        self.chips
+            .iter()
+            .fold(FleetConfig::new(), |fleet, &i| fleet.chip(menu[i].clone()))
+    }
+}
+
 /// The fleet-composition search engine (see the module docs).
 #[derive(Debug, Clone)]
 pub struct FleetDseEngine {
@@ -445,10 +455,8 @@ impl FleetDseEngine {
             }
         }
 
-        // Stage 3: predicted vectors from the cheap dispatch walk; only
-        // the predicted Pareto frontier reaches a full simulation. The
-        // event trace is sampled and sorted once for all candidates.
-        let trace = sorted_trace(scenario);
+        // Stage 3: predicted vectors from the fleet's dispatch walk; only
+        // the predicted Pareto frontier reaches a full simulation.
         let mut predicted: Vec<Vec<f64>> = Vec::with_capacity(specs.len());
         for spec in &specs {
             // The spec's fusion level always comes from `levels`, so the
@@ -458,7 +466,7 @@ impl FleetDseEngine {
                 .position(|&f| f == spec.fusion)
                 .unwrap_or_default();
             let estimates = &estimates_by_level[li];
-            predicted.push(self.predict(scenario, &trace, spec, estimates)?.to_vec());
+            predicted.push(self.predict(scenario, menu, spec, estimates)?.to_vec());
         }
         let survivor_idx = pareto_frontier_nd(&predicted);
         stats.dominance_skips = specs.len() - survivor_idx.len();
@@ -613,26 +621,20 @@ impl FleetDseEngine {
         })
     }
 
-    /// The cheap surrogate evaluation: the exact deterministic dispatch
-    /// walk (same events, same backlog model, same admission rule as
-    /// [`FleetSimulator`]'s phase 1), with each frame's *predicted*
-    /// completion standing in for its simulated one. Returns the
-    /// predicted objective vector `[-throughput, p99, miss, area]`.
+    /// The cheap surrogate evaluation: [`FleetSimulator`]'s phase 1, the
+    /// fleet walk itself, run on this candidate's columns of the menu
+    /// estimates, with each admitted frame's *predicted* completion
+    /// standing in for its simulated one. The walk always gets
+    /// estimates, so even round-robin candidates keep a predicted
+    /// backlog. Returns the predicted objective vector `[-throughput,
+    /// p99, miss, area]`.
     fn predict(
         &self,
         scenario: &Scenario,
-        trace: &[Event],
+        menu: &[AcceleratorConfig],
         spec: &CandidateSpec,
         estimates: &ServiceEstimates,
     ) -> Result<[f64; 4], HeraldError> {
-        let n = spec.chips.len();
-        let horizon = scenario.horizon_s();
-        // The menu table's columns for this composition's chip positions,
-        // one row per distinct workload, and one walk row per stream.
-        let table = estimates.columns(&spec.chips);
-        let mut streams = estimates.workloads.walk_rows(scenario);
-        let mut dispatcher = spec.policy.build();
-        let mut loads = vec![ChipLoad::default(); n];
         // Under `Sketch` reporting the surrogate must match the full
         // simulations' memory story: latencies stream through a
         // mergeable sketch instead of materializing one f64 per frame
@@ -645,59 +647,31 @@ impl FleetDseEngine {
         };
         let mut completed = 0usize;
         let (mut with_deadline, mut missed) = (0usize, 0usize);
-        let mut last_finish = horizon;
-        for event in trace {
-            let seq = match event.kind {
-                EventKind::Swap { .. } => {
-                    streams[event.stream].swap(&estimates.workloads);
-                    continue;
+        let mut last_finish = scenario.horizon_s();
+        let mut dispatcher = spec.policy.build();
+        walk(
+            &spec.fleet(menu).with_audit_trail(false),
+            self.config.admission,
+            dispatcher.as_mut(),
+            scenario,
+            &Estimates::Precomputed(estimates.columns(&spec.chips)),
+            None,
+            |frame, _, finish| {
+                let latency = finish - frame.arrival_s;
+                completed += 1;
+                match &mut sketch {
+                    Some(sketch) => sketch.insert(latency),
+                    None => latencies.push(latency),
                 }
-                EventKind::Arrival { seq } => seq,
-            };
-            let row = streams[event.stream];
-            let start = row.workload as usize * n;
-            let est_row: &[f64] = &table[start..start + n];
-            let deadline_s = row.deadline();
-            let frame = FrameView {
-                stream: event.stream,
-                seq,
-                arrival_s: event.t,
-                deadline_s,
-                est_service_s: est_row,
-            };
-            let chip = dispatcher.dispatch(&frame, &loads);
-            if chip >= n {
-                return Err(HeraldError::Fleet {
-                    reason: format!(
-                        "dispatcher {:?} chose chip {chip} of a {n}-chip fleet",
-                        dispatcher.name()
-                    ),
-                });
-            }
-            let finish = frame.predicted_finish_s(chip, &loads[chip]);
-            if let AdmissionPolicy::DeadlineSlack { slack } = self.config.admission {
-                if let Some(d) = deadline_s {
-                    if finish > event.t + slack * d {
-                        continue;
+                if let Some(d) = frame.deadline_s {
+                    with_deadline += 1;
+                    if latency > d {
+                        missed += 1;
                     }
                 }
-            }
-            loads[chip].free_at_s = loads[chip].free_at_s.max(event.t) + est_row[chip];
-            loads[chip].dispatched += 1;
-            let latency = finish - event.t;
-            completed += 1;
-            match &mut sketch {
-                Some(sketch) => sketch.insert(latency),
-                None => latencies.push(latency),
-            }
-            if let Some(d) = deadline_s {
-                with_deadline += 1;
-                if latency > d {
-                    missed += 1;
-                }
-            }
-            last_finish = last_finish.max(finish);
-        }
+                last_finish = last_finish.max(finish);
+            },
+        )?;
         let throughput = if last_finish > 0.0 {
             completed as f64 / last_finish
         } else {
@@ -725,12 +699,8 @@ impl FleetDseEngine {
         menu: &[AcceleratorConfig],
         survivors: &[&CandidateSpec],
     ) -> Result<Vec<FleetCandidate>, HeraldError> {
-        let evaluate = |spec: &CandidateSpec| -> Result<FleetCandidate, HeraldError> {
-            let mut fleet = FleetConfig::new();
-            for &mi in &spec.chips {
-                fleet = fleet.chip(menu[mi].clone());
-            }
-            let report = FleetSimulator::new(&fleet)
+        map_chunked(survivors, self.config.parallel, |spec| {
+            let report = FleetSimulator::new(&spec.fleet(menu))
                 .with_scheduler(SchedulerConfig {
                     fusion: spec.fusion,
                     ..self.config.scheduler
@@ -752,42 +722,7 @@ impl FleetDseEngine {
                 drop_rate: report.drop_rate(),
                 frames: report.frames_total(),
             })
-        };
-        if !self.config.parallel || survivors.len() <= 1 {
-            return survivors.iter().map(|s| evaluate(s)).collect();
-        }
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4)
-            .min(survivors.len());
-        let chunk = survivors.len().div_ceil(threads).max(1);
-        let evaluate = &evaluate;
-        // Every handle is joined before the scope exits (see the
-        // single-chip sweep for the same pattern): a panicking worker
-        // surfaces as a typed error, not a re-panic.
-        let gathered: Vec<Result<Vec<FleetCandidate>, HeraldError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = survivors
-                .chunks(chunk)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|s| evaluate(s))
-                            .collect::<Result<Vec<_>, _>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().map_err(worker_panic_error).and_then(|r| r))
-                .collect()
-        });
-        Ok(gathered
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .flatten()
-            .collect())
+        })
     }
 }
 
@@ -845,9 +780,11 @@ fn composition_label(chips: &[usize], menu: &[AcceleratorConfig]) -> String {
 mod tests {
     use super::*;
     use crate::pareto::dominates_nd;
+    use crate::sim::engine::{EventKind, MergedTrace};
     use herald_arch::{AcceleratorClass, HardwareResources};
     use herald_dataflow::DataflowStyle;
-    use herald_workloads::fleet_mix_stream;
+    use herald_models::zoo;
+    use herald_workloads::{fleet_mix_stream, single_model, StreamSpec};
 
     fn edge_fda(style: DataflowStyle) -> AcceleratorConfig {
         AcceleratorConfig::fda(style, AcceleratorClass::Edge.resources())
@@ -1067,15 +1004,14 @@ mod tests {
         cfg.report = ReportMode::sketch();
         let sketchy = FleetDseEngine::new(cfg);
         let estimates = exact.menu_estimates(&ctx, &s, &m, 1).unwrap();
-        let trace = sorted_trace(&s);
         let spec = CandidateSpec {
             chips: vec![0, 1],
             policy: DispatchPolicy::LeastLoaded,
             fusion: 1,
             area_mm2: m[0].area_mm2() + m[1].area_mm2(),
         };
-        let e = exact.predict(&s, &trace, &spec, &estimates).unwrap();
-        let k = sketchy.predict(&s, &trace, &spec, &estimates).unwrap();
+        let e = exact.predict(&s, &m, &spec, &estimates).unwrap();
+        let k = sketchy.predict(&s, &m, &spec, &estimates).unwrap();
         // Throughput, miss rate and area are computed identically in
         // both modes...
         assert_eq!(e[0], k[0]);
@@ -1091,6 +1027,77 @@ mod tests {
             k[1],
             e[1]
         );
+    }
+
+    #[test]
+    fn surrogate_routing_equals_simulated_routing() {
+        // A heterogeneous pair, one mid-horizon swap and deadlines tight
+        // enough to drop frames: the walk on the candidate's menu
+        // estimates must route (and drop) exactly the frames the full
+        // simulation of that candidate does.
+        let m = menu();
+        let s = Scenario::new("swap", 0.3)
+            .stream(
+                StreamSpec::poisson("cam", single_model(zoo::mobilenet_v1(), 1), 120.0, 3)
+                    .with_deadline(0.03)
+                    .swap_at(0.15, single_model(zoo::mobilenet_v2(), 1)),
+            )
+            .stream(
+                StreamSpec::periodic("aux", single_model(zoo::mobilenet_v2(), 1), 60.0)
+                    .with_deadline(0.05),
+            );
+        let arrivals = MergedTrace::new(&s)
+            .filter(|e| matches!(e.kind, EventKind::Arrival { .. }))
+            .count();
+        let mut cfg = FleetDseConfig::fast();
+        cfg.admission = AdmissionPolicy::DeadlineSlack { slack: 1.0 };
+        let engine = FleetDseEngine::new(cfg.clone());
+        let estimates = engine
+            .menu_estimates(&EvalContext::new(), &s, &m, 1)
+            .unwrap();
+        for policy in DispatchPolicy::ALL {
+            let spec = CandidateSpec {
+                chips: vec![0, 1],
+                policy,
+                fusion: 1,
+                area_mm2: m[0].area_mm2() + m[1].area_mm2(),
+            };
+            let fleet = spec.fleet(&m);
+            let mut routed = Vec::new();
+            walk(
+                &fleet,
+                cfg.admission,
+                policy.build().as_mut(),
+                &s,
+                &Estimates::Precomputed(estimates.columns(&spec.chips)),
+                None,
+                |frame, chip, _| routed.push((frame.stream, frame.seq, chip)),
+            )
+            .unwrap();
+            let report = FleetSimulator::new(&fleet)
+                .with_scheduler(SchedulerConfig {
+                    fusion: spec.fusion,
+                    ..cfg.scheduler
+                })
+                .with_metric(cfg.metric)
+                .with_dispatcher(policy)
+                .with_admission(cfg.admission)
+                .with_report_mode(cfg.report)
+                .simulate(&s)
+                .unwrap();
+            let simulated: Vec<_> = report
+                .assignments()
+                .iter()
+                .map(|a| (a.stream, a.seq, a.chip))
+                .collect();
+            assert_eq!(routed, simulated, "{policy:?}");
+            assert!(report.dropped_total() > 0, "{policy:?}: nothing dropped");
+            assert_eq!(
+                arrivals - routed.len(),
+                report.dropped_total(),
+                "{policy:?}"
+            );
+        }
     }
 
     #[test]

@@ -55,6 +55,44 @@ pub(crate) fn worker_panic_error(payload: Box<dyn std::any::Any + Send>) -> Hera
     HeraldError::WorkerPanicked { payload }
 }
 
+/// `f` over `items`, results in item order: inline when `parallel` is
+/// off or there is at most one item, else in one chunk per available
+/// core on `std::thread::scope` workers. A chunk stops at its first
+/// error; the first failing chunk's error (or its worker's panic, as
+/// [`worker_panic_error`]) is returned. Every handle is joined before
+/// the scope exits, so a panicked worker surfaces as a typed error, not
+/// as the scope's re-panic.
+pub(crate) fn map_chunked<T: Sync, R: Send>(
+    items: &[T],
+    parallel: bool,
+    f: impl Fn(&T) -> Result<R, HeraldError> + Sync,
+) -> Result<Vec<R>, HeraldError> {
+    if !parallel || items.len() <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let threads = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(4)
+        .min(items.len());
+    let f = &f;
+    let gathered: Vec<Result<Vec<R>, HeraldError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(items.len().div_ceil(threads))
+            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect()))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().map_err(worker_panic_error).and_then(|r| r))
+            .collect()
+    });
+    Ok(gathered
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .flatten()
+        .collect())
+}
+
 /// A hashable identity for a candidate partition (bandwidth captured
 /// bit-exactly), used to deduplicate repeat candidates across the base
 /// sweep and refinement rounds.
@@ -376,44 +414,10 @@ impl DseEngine {
                 report,
             })
         };
-
-        let points: Vec<DesignPoint> = if self.config.parallel {
-            let threads = std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4)
-                .min(jobs.len().max(1));
-            let chunk = jobs.len().div_ceil(threads.max(1)).max(1);
-            let evaluate = &evaluate;
-            // A panicking worker aborts the sweep with a typed error
-            // instead of poisoning the caller with a re-panic. Every
-            // handle is joined before the scope exits — leaving a
-            // panicked handle unjoined would make the scope itself
-            // re-panic on exit, bypassing the error path when several
-            // workers fail.
-            let gathered: Vec<Result<Vec<DesignPoint>, HeraldError>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = jobs
-                        .chunks(chunk)
-                        .map(|chunk| {
-                            scope.spawn(move || {
-                                chunk.iter().filter_map(evaluate).collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().map_err(worker_panic_error))
-                        .collect()
-                });
-            gathered
-                .into_iter()
-                .collect::<Result<Vec<_>, _>>()?
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            jobs.iter().filter_map(evaluate).collect()
-        };
+        let points = map_chunked(&jobs, self.config.parallel, |job| Ok(evaluate(job)))?
+            .into_iter()
+            .flatten()
+            .collect();
 
         Ok(DseOutcome {
             points,

@@ -1,7 +1,10 @@
 //! The merged outcome of a fleet simulation: per-chip stream reports
 //! plus fleet-level aggregates and the frame-routing audit trail.
 
-use crate::sim::report::{miss_rate, percentile, percentile_of_sorted, window_sums, WindowSums};
+use crate::sim::report::{
+    agg_miss_rate, exact_stream_stats, miss_rate, percentile, sketch_stream_stats, window_sums,
+    WindowSums,
+};
 use crate::sim::{FrameRecord, QuantileSketch, StreamAgg, StreamReport, StreamStats};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -255,19 +258,9 @@ impl FleetReport {
     #[must_use]
     pub fn deadline_miss_rate(&self) -> f64 {
         if self.is_exact() {
-            return miss_rate(self.all_frames());
-        }
-        let (deadline, missed) = self
-            .per_chip
-            .iter()
-            .flat_map(|r| r.stream_aggs())
-            .fold((0u64, 0u64), |(d, m), a| {
-                (d + a.deadline_frames, m + a.missed)
-            });
-        if deadline == 0 {
-            0.0
+            miss_rate(self.all_frames())
         } else {
-            missed as f64 / deadline as f64
+            agg_miss_rate(self.per_chip.iter().flat_map(|r| r.stream_aggs()))
         }
     }
 
@@ -348,88 +341,16 @@ impl FleetReport {
     #[must_use]
     pub fn stream_stats(&self) -> Vec<StreamStats> {
         let makespan = self.makespan_s();
-        let streams = self.stream_names.len();
-        if !self.is_exact() {
-            let mut aggs = vec![StreamAgg::default(); streams];
-            for r in &self.per_chip {
-                for (i, a) in r.stream_aggs().iter().enumerate() {
-                    aggs[i].merge(a);
-                }
-            }
-            return self
-                .stream_names
-                .iter()
-                .zip(&aggs)
-                .map(|(name, a)| {
-                    let mean = if a.frames == 0 {
-                        0.0
-                    } else {
-                        a.latency_sum_s / a.frames as f64
-                    };
-                    StreamStats {
-                        name: name.clone(),
-                        frames: a.frames as usize,
-                        throughput_fps: if makespan <= 0.0 {
-                            0.0
-                        } else {
-                            a.frames as f64 / makespan
-                        },
-                        mean_latency_s: mean,
-                        p50_latency_s: mean,
-                        p95_latency_s: a.latency_max_s,
-                        p99_latency_s: a.latency_max_s,
-                        deadline_miss_rate: if a.deadline_frames == 0 {
-                            0.0
-                        } else {
-                            a.missed as f64 / a.deadline_frames as f64
-                        },
-                    }
-                })
-                .collect();
+        if self.is_exact() {
+            return exact_stream_stats(&self.stream_names, makespan, self.all_frames());
         }
-        let mut lats: Vec<Vec<f64>> = vec![Vec::new(); streams];
-        let mut deadline = vec![0usize; streams];
-        let mut missed = vec![0usize; streams];
-        for f in self.all_frames() {
-            lats[f.stream].push(f.latency_s);
-            if f.deadline_s.is_some() {
-                deadline[f.stream] += 1;
-                if f.missed {
-                    missed[f.stream] += 1;
-                }
+        let mut aggs = vec![StreamAgg::default(); self.stream_names.len()];
+        for r in &self.per_chip {
+            for (i, a) in r.stream_aggs().iter().enumerate() {
+                aggs[i].merge(a);
             }
         }
-        self.stream_names
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let v = &mut lats[i];
-                v.sort_by(f64::total_cmp);
-                let mean = if v.is_empty() {
-                    0.0
-                } else {
-                    v.iter().sum::<f64>() / v.len() as f64
-                };
-                StreamStats {
-                    name: name.clone(),
-                    frames: v.len(),
-                    throughput_fps: if makespan <= 0.0 {
-                        0.0
-                    } else {
-                        v.len() as f64 / makespan
-                    },
-                    mean_latency_s: mean,
-                    p50_latency_s: percentile_of_sorted(v, 0.50),
-                    p95_latency_s: percentile_of_sorted(v, 0.95),
-                    p99_latency_s: percentile_of_sorted(v, 0.99),
-                    deadline_miss_rate: if deadline[i] == 0 {
-                        0.0
-                    } else {
-                        missed[i] as f64 / deadline[i] as f64
-                    },
-                }
-            })
-            .collect()
+        sketch_stream_stats(&self.stream_names, makespan, &aggs)
     }
 
     /// Every completed frame across all chips.

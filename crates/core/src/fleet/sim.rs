@@ -12,8 +12,8 @@
 //!    version); optional [`AdmissionPolicy`] drops are recorded, never
 //!    silent.
 //! 2. **Per-chip simulation** (one `std::thread::scope` worker per
-//!    chip): each chip replays exactly the frames routed to it, as an
-//!    [`herald_workloads::ArrivalProcess::Trace`] sub-scenario, on its
+//!    chip): each chip replays exactly the frames routed to it, as one
+//!    flat routed arrival list over the scenario's stream table, on its
 //!    own [`crate::sim::StreamSimulator`] with its own private
 //!    [`crate::ctx::EvalContext`]. Chip
 //!    isolation makes the result independent of worker interleaving: a
@@ -23,9 +23,9 @@
 //! report is bit-identical to running [`crate::sim::StreamSimulator`]
 //! directly on the original scenario (the equivalence suite pins this).
 //!
-//! Both phases live in [`crate::controller`]'s shared walk
-//! ([`simulate_controlled`]): this simulator delegates to it with no
-//! controller, which degenerates to exactly the two-phase run above.
+//! Both phases live in [`crate::controller`] ([`simulate_controlled`]):
+//! this simulator delegates to it with no controller, which degenerates
+//! to exactly the two-phase run above.
 
 use crate::controller::{simulate_controlled, WalkParams};
 use crate::error::HeraldError;
@@ -167,8 +167,7 @@ impl<'a> FleetSimulator<'a> {
         scenario: &Scenario,
     ) -> Result<FleetReport, HeraldError> {
         simulate_controlled(
-            self.fleet.chips(),
-            self.fleet.audit_trail(),
+            self.fleet,
             &self.params(),
             dispatcher,
             scenario,
@@ -194,8 +193,7 @@ impl<'a> FleetSimulator<'a> {
     ) -> Result<(FleetReport, HotPathProfile), HeraldError> {
         let mut dispatcher = self.dispatcher.build();
         simulate_controlled(
-            self.fleet.chips(),
-            self.fleet.audit_trail(),
+            self.fleet,
             &self.params(),
             dispatcher.as_mut(),
             scenario,
@@ -219,6 +217,7 @@ impl<'a> FleetSimulator<'a> {
 /// Every stream's workload versions as one flat table of distinct
 /// workload indices: `index[offsets[s]..offsets[s + 1]]` are stream `s`'s
 /// versions in order. Built by [`distinct_workloads`].
+#[derive(Clone)]
 pub(crate) struct WorkloadIndex {
     offsets: Vec<u32>,
     index: Vec<u32>,
@@ -349,13 +348,18 @@ impl ServiceEstimates {
         &self.table[start..start + self.chips]
     }
 
-    /// The same table restricted to (and ordered by) the chip columns
-    /// `chips`, sharing nothing with `self` but its values.
-    pub(crate) fn columns(&self, chips: &[usize]) -> Vec<f64> {
-        self.table
-            .chunks_exact(self.chips)
-            .flat_map(|row| chips.iter().map(move |&c| row[c]))
-            .collect()
+    /// The same estimates restricted to (and ordered by) the chip
+    /// columns `chips`: one fleet DSE candidate's view of the menu table.
+    pub(crate) fn columns(&self, chips: &[usize]) -> ServiceEstimates {
+        ServiceEstimates {
+            workloads: self.workloads.clone(),
+            chips: chips.len(),
+            table: self
+                .table
+                .chunks_exact(self.chips)
+                .flat_map(|row| chips.iter().map(move |&c| row[c]))
+                .collect(),
+        }
     }
 
     /// Bytes retained by the whole layout: the workload index and the
@@ -444,8 +448,7 @@ mod tests {
         assert_eq!(report, sim.simulate(&scenario).unwrap());
         let mut dispatcher = sim.dispatcher.build();
         let (_, untimed) = simulate_controlled(
-            fleet.chips(),
-            fleet.audit_trail(),
+            &fleet,
             &sim.params(),
             dispatcher.as_mut(),
             &scenario,
@@ -521,6 +524,89 @@ mod tests {
             }
         }
         assert!(missed > 0, "the scenario exercises the miss counters");
+    }
+
+    #[test]
+    fn fleet_stream_stats_equal_a_recomputation_from_every_chip() {
+        let (fleet, scenario) = tenant_fleet();
+        let run = |fleet: &FleetConfig, mode| {
+            FleetSimulator::new(fleet)
+                .with_dispatcher(DispatchPolicy::LeastLoaded)
+                .with_report_mode(mode)
+                .simulate(&scenario)
+                .unwrap()
+        };
+        let exact = run(&fleet, ReportMode::Exact);
+        let sketch = run(&fleet, ReportMode::sketch());
+        let (stats, envelopes) = (exact.stream_stats(), sketch.stream_stats());
+        assert_eq!(stats.len(), scenario.streams().len());
+        let makespan = exact.makespan_s();
+        let mut split = 0;
+        for (s, (st, env)) in stats.iter().zip(&envelopes).enumerate() {
+            // The oracle: this stream's frames from every chip's records.
+            let frames: Vec<_> = exact
+                .per_chip()
+                .iter()
+                .flat_map(|r| r.frames())
+                .filter(|f| f.stream == s)
+                .collect();
+            split += usize::from(
+                exact
+                    .per_chip()
+                    .iter()
+                    .all(|r| r.frames().iter().any(|f| f.stream == s)),
+            );
+            let mut lat: Vec<f64> = frames.iter().map(|f| f.latency_s).collect();
+            lat.sort_by(f64::total_cmp);
+            let n = lat.len();
+            let rank = |q: f64| lat[((q * n as f64).ceil() as usize).max(1) - 1];
+            let deadline = frames.iter().filter(|f| f.deadline_s.is_some()).count();
+            let missed = frames.iter().filter(|f| f.missed).count();
+            let miss = if deadline == 0 {
+                0.0
+            } else {
+                missed as f64 / deadline as f64
+            };
+            assert_eq!(st.name, scenario.streams()[s].name());
+            assert_eq!(st.frames, n, "stream {s}");
+            assert_eq!(env.frames, n, "stream {s}");
+            assert_eq!(
+                st.deadline_miss_rate.to_bits(),
+                miss.to_bits(),
+                "stream {s}"
+            );
+            assert_eq!(
+                env.deadline_miss_rate.to_bits(),
+                miss.to_bits(),
+                "stream {s}"
+            );
+            if n == 0 {
+                assert_eq!((st.mean_latency_s, st.p99_latency_s), (0.0, 0.0));
+                continue;
+            }
+            let mean = lat.iter().sum::<f64>() / n as f64;
+            let throughput = n as f64 / makespan;
+            assert_eq!(st.throughput_fps.to_bits(), throughput.to_bits());
+            assert_eq!(st.mean_latency_s.to_bits(), mean.to_bits(), "stream {s}");
+            assert_eq!(st.p50_latency_s.to_bits(), rank(0.50).to_bits());
+            assert_eq!(st.p95_latency_s.to_bits(), rank(0.95).to_bits());
+            assert_eq!(st.p99_latency_s.to_bits(), rank(0.99).to_bits());
+            // Sketch mode merges the chips' aggregates: p50 is the mean,
+            // p95 and p99 the max.
+            assert!(
+                (env.p50_latency_s - mean).abs() <= 1e-12 * mean,
+                "stream {s}"
+            );
+            assert_eq!(env.p95_latency_s.to_bits(), lat[n - 1].to_bits());
+            assert_eq!(env.p99_latency_s.to_bits(), lat[n - 1].to_bits());
+        }
+        assert!(split > 0, "some stream is served by both chips");
+        // On one chip the fleet view is the chip's own.
+        let one = FleetConfig::homogeneous(&fleet.chips()[0], 1);
+        for mode in [ReportMode::Exact, ReportMode::sketch()] {
+            let report = run(&one, mode);
+            assert_eq!(report.stream_stats(), report.per_chip()[0].stream_stats());
+        }
     }
 
     #[test]

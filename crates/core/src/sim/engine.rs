@@ -42,9 +42,12 @@ use std::time::Instant;
 /// makespan).
 pub(crate) const SKETCH_WINDOWS: usize = 128;
 
-/// Default cap on events admitted against one commit window (see
-/// [`StreamSimulator::with_admission_batch`]).
-pub const DEFAULT_ADMISSION_BATCH: usize = 32;
+/// Cap on trace events admitted against one commit window. A batch
+/// only ever extends while the next event lands at or before the core's
+/// next pending commit, so any cap, including `1` (the event-at-a-time
+/// walk), gives bit-identical results; the cap only bounds how much
+/// admission work one window may accumulate.
+const ADMISSION_BATCH: usize = 32;
 
 /// How the streaming engine reacts to frame arrivals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,6 +109,7 @@ pub struct StreamSimulator<'a> {
     metric: Metric,
     policy: ReschedulePolicy,
     ctx: Option<&'a EvalContext>,
+    /// Always [`ADMISSION_BATCH`]; a field so a test can vary the cap.
     admission_batch: usize,
     report: ReportMode,
 }
@@ -859,7 +863,7 @@ impl<'a> StreamSimulator<'a> {
             metric: Metric::Edp,
             policy: ReschedulePolicy::default(),
             ctx: None,
-            admission_batch: DEFAULT_ADMISSION_BATCH,
+            admission_batch: ADMISSION_BATCH,
             report: ReportMode::Exact,
         }
     }
@@ -874,19 +878,6 @@ impl<'a> StreamSimulator<'a> {
     #[must_use]
     pub fn with_report_mode(mut self, mode: ReportMode) -> Self {
         self.report = mode;
-        self
-    }
-
-    /// Caps how many trace events may be admitted against one commit
-    /// window of the core (default [`DEFAULT_ADMISSION_BATCH`]). A batch
-    /// only ever extends while the next event lands at or before the
-    /// core's next pending commit, so any cap — including `1`, which
-    /// reproduces the historical event-at-a-time walk — yields
-    /// bit-identical results; the cap only bounds how much admission
-    /// work a single window may accumulate.
-    #[must_use]
-    pub fn with_admission_batch(mut self, cap: usize) -> Self {
-        self.admission_batch = cap.max(1);
         self
     }
 
@@ -1562,17 +1553,6 @@ pub(crate) fn reject_chained(scenario: &Scenario, consumer: &str) -> Result<(), 
         });
     }
     Ok(())
-}
-
-/// The scenario's full event trace in deterministic simulation order,
-/// materialized: the calendar merge ([`MergedTrace`]) collected into one
-/// `Vec`, so O(events) memory where the merge itself holds O(streams).
-/// Kept for the fleet DSE's screening surrogate, which replays one
-/// shared trace once per candidate spec. The engine, the fleet dispatch
-/// walk and the controller's epoch walk consume [`MergedTrace`] lazily
-/// instead.
-pub(crate) fn sorted_trace(scenario: &Scenario) -> Vec<Event> {
-    MergedTrace::new(scenario).collect()
 }
 
 /// The historical materialized trace generator: every arrival in
@@ -2451,5 +2431,59 @@ mod tests {
         assert!((span_busy - report.per_acc()[0].busy_s).abs() < 1e-9);
         assert!(report.acc_utilization(0) > 0.0);
         assert!(report.acc_utilization(0) <= 1.0 + 1e-12);
+    }
+
+    #[test]
+    fn batched_admission_is_bit_identical_to_per_event() {
+        // Batch caps 1 (event-at-a-time), 7 (splits windows awkwardly) and
+        // the default 32 must not change a single bit of the simulation,
+        // whichever rescheduling policy runs above the core.
+        let config = AcceleratorConfig::maelstrom(
+            AcceleratorClass::Edge.resources(),
+            herald_arch::Partition::even(2, 1024, 16.0),
+        )
+        .unwrap();
+        let scenarios = [
+            herald_workloads::arvr_a_stream(1.0, 1.2),
+            herald_workloads::workload_change_trace(2.0, 0.6, 2.0),
+            herald_workloads::poisson_mix_stream(1.0, 0.5, 2024),
+        ];
+        for scenario in &scenarios {
+            for policy in [
+                ReschedulePolicy::Incremental,
+                ReschedulePolicy::FullReschedule,
+            ] {
+                let run = |cap: usize| -> StreamReport {
+                    let ctx = EvalContext::new();
+                    let scheduler = HeraldScheduler::default();
+                    let mut sim = StreamSimulator::new(&config, ctx.cost_model())
+                        .with_policy(policy)
+                        .with_context(&ctx);
+                    sim.admission_batch = cap;
+                    match policy {
+                        ReschedulePolicy::Incremental => {
+                            let inc =
+                                crate::sched::IncrementalScheduler::new(scheduler, ctx.clone());
+                            sim.simulate(&inc, scenario).unwrap()
+                        }
+                        ReschedulePolicy::FullReschedule => {
+                            sim.simulate(&scheduler, scenario).unwrap()
+                        }
+                    }
+                };
+                let per_event = run(1);
+                let label = format!("{} under {policy:?}", scenario.name());
+                assert_eq!(
+                    per_event,
+                    run(7),
+                    "{label}: batch cap 7 diverged from per-event admission"
+                );
+                assert_eq!(
+                    per_event,
+                    run(ADMISSION_BATCH),
+                    "{label}: default batching diverged from per-event admission"
+                );
+            }
+        }
     }
 }

@@ -30,7 +30,7 @@ pub(crate) mod engine;
 pub mod profile;
 pub(crate) mod report;
 
-pub use engine::{ReschedulePolicy, StreamSimulator, DEFAULT_ADMISSION_BATCH};
+pub use engine::{ReschedulePolicy, StreamSimulator};
 pub use profile::{HotPathProfile, MemProfile};
 pub use report::{
     ArrivalWindow, BusySpan, FrameRecord, QuantileSketch, ReportMode, StreamAgg, StreamReport,

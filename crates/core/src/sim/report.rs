@@ -748,15 +748,9 @@ impl StreamReport {
     #[must_use]
     pub fn deadline_miss_rate(&self) -> f64 {
         if self.mode.is_exact() {
-            return miss_rate(self.frames.iter());
-        }
-        let (deadline, missed) = self.stream_aggs.iter().fold((0u64, 0u64), |(d, m), a| {
-            (d + a.deadline_frames, m + a.missed)
-        });
-        if deadline == 0 {
-            0.0
+            miss_rate(self.frames.iter())
         } else {
-            missed as f64 / deadline as f64
+            agg_miss_rate(self.stream_aggs.iter())
         }
     }
 
@@ -828,83 +822,11 @@ impl StreamReport {
     /// envelopes (p50 = mean, p95 = p99 = max).
     #[must_use]
     pub fn stream_stats(&self) -> Vec<StreamStats> {
-        if !self.mode.is_exact() {
-            return self
-                .stream_names
-                .iter()
-                .enumerate()
-                .map(|(i, name)| {
-                    let a = self.stream_aggs.get(i).copied().unwrap_or_default();
-                    let mean = if a.frames == 0 {
-                        0.0
-                    } else {
-                        a.latency_sum_s / a.frames as f64
-                    };
-                    StreamStats {
-                        name: name.clone(),
-                        frames: a.frames as usize,
-                        throughput_fps: if self.makespan_s <= 0.0 {
-                            0.0
-                        } else {
-                            a.frames as f64 / self.makespan_s
-                        },
-                        mean_latency_s: mean,
-                        p50_latency_s: mean,
-                        p95_latency_s: a.latency_max_s,
-                        p99_latency_s: a.latency_max_s,
-                        deadline_miss_rate: if a.deadline_frames == 0 {
-                            0.0
-                        } else {
-                            a.missed as f64 / a.deadline_frames as f64
-                        },
-                    }
-                })
-                .collect();
+        if self.mode.is_exact() {
+            exact_stream_stats(&self.stream_names, self.makespan_s, self.frames.iter())
+        } else {
+            sketch_stream_stats(&self.stream_names, self.makespan_s, &self.stream_aggs)
         }
-        let streams = self.stream_names.len();
-        let mut lats: Vec<Vec<f64>> = vec![Vec::new(); streams];
-        let mut deadline = vec![0usize; streams];
-        let mut missed = vec![0usize; streams];
-        for f in &self.frames {
-            lats[f.stream].push(f.latency_s);
-            if f.deadline_s.is_some() {
-                deadline[f.stream] += 1;
-                if f.missed {
-                    missed[f.stream] += 1;
-                }
-            }
-        }
-        self.stream_names
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let v = &mut lats[i];
-                v.sort_by(f64::total_cmp);
-                let mean = if v.is_empty() {
-                    0.0
-                } else {
-                    v.iter().sum::<f64>() / v.len() as f64
-                };
-                StreamStats {
-                    name: name.clone(),
-                    frames: v.len(),
-                    throughput_fps: if self.makespan_s <= 0.0 {
-                        0.0
-                    } else {
-                        v.len() as f64 / self.makespan_s
-                    },
-                    mean_latency_s: mean,
-                    p50_latency_s: percentile_of_sorted(v, 0.50),
-                    p95_latency_s: percentile_of_sorted(v, 0.95),
-                    p99_latency_s: percentile_of_sorted(v, 0.99),
-                    deadline_miss_rate: if deadline[i] == 0 {
-                        0.0
-                    } else {
-                        missed[i] as f64 / deadline[i] as f64
-                    },
-                }
-            })
-            .collect()
     }
 
     /// Per-accelerator busy fraction per time window of `window_s`
@@ -1004,6 +926,112 @@ pub(crate) fn percentile(samples: impl Iterator<Item = f64>, q: f64) -> f64 {
     let mut v: Vec<f64> = samples.collect();
     v.sort_by(f64::total_cmp);
     percentile_of_sorted(&v, q)
+}
+
+/// Per-stream statistics over exact frame records, for streams
+/// `names` over `makespan_s`: one pass groups the records by stream,
+/// and each stream's latencies are sorted once to serve p50/p95/p99.
+/// Shared with the fleet layer's merged view.
+pub(crate) fn exact_stream_stats<'a>(
+    names: &[String],
+    makespan_s: f64,
+    frames: impl Iterator<Item = &'a FrameRecord>,
+) -> Vec<StreamStats> {
+    let streams = names.len();
+    let mut lats: Vec<Vec<f64>> = vec![Vec::new(); streams];
+    let mut deadline = vec![0usize; streams];
+    let mut missed = vec![0usize; streams];
+    for f in frames {
+        lats[f.stream].push(f.latency_s);
+        if f.deadline_s.is_some() {
+            deadline[f.stream] += 1;
+            if f.missed {
+                missed[f.stream] += 1;
+            }
+        }
+    }
+    names
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let v = &mut lats[i];
+            v.sort_by(f64::total_cmp);
+            let mean = if v.is_empty() {
+                0.0
+            } else {
+                v.iter().sum::<f64>() / v.len() as f64
+            };
+            StreamStats {
+                name: name.clone(),
+                frames: v.len(),
+                throughput_fps: if makespan_s <= 0.0 {
+                    0.0
+                } else {
+                    v.len() as f64 / makespan_s
+                },
+                mean_latency_s: mean,
+                p50_latency_s: percentile_of_sorted(v, 0.50),
+                p95_latency_s: percentile_of_sorted(v, 0.95),
+                p99_latency_s: percentile_of_sorted(v, 0.99),
+                deadline_miss_rate: if deadline[i] == 0 {
+                    0.0
+                } else {
+                    missed[i] as f64 / deadline[i] as f64
+                },
+            }
+        })
+        .collect()
+}
+
+/// Per-stream statistics from sketch-mode aggregates (`aggs[i]` is
+/// stream `i`'s; a missing entry reads as an empty stream), where
+/// percentiles degrade to envelopes: p50 = mean, p95 = p99 = max.
+/// Shared with the fleet layer's merged view.
+pub(crate) fn sketch_stream_stats(
+    names: &[String],
+    makespan_s: f64,
+    aggs: &[StreamAgg],
+) -> Vec<StreamStats> {
+    names
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let a = aggs.get(i).copied().unwrap_or_default();
+            let mean = if a.frames == 0 {
+                0.0
+            } else {
+                a.latency_sum_s / a.frames as f64
+            };
+            StreamStats {
+                name: name.clone(),
+                frames: a.frames as usize,
+                throughput_fps: if makespan_s <= 0.0 {
+                    0.0
+                } else {
+                    a.frames as f64 / makespan_s
+                },
+                mean_latency_s: mean,
+                p50_latency_s: mean,
+                p95_latency_s: a.latency_max_s,
+                p99_latency_s: a.latency_max_s,
+                deadline_miss_rate: agg_miss_rate(std::iter::once(&a)),
+            }
+        })
+        .collect()
+}
+
+/// Miss rate over the deadline-carrying frames of sketch-mode
+/// aggregates (0 when none carry one). Shared with the fleet layer's
+/// merged view.
+pub(crate) fn agg_miss_rate<'a>(aggs: impl Iterator<Item = &'a StreamAgg>) -> f64 {
+    let (deadline, missed) = aggs.fold((0u64, 0u64), |(d, m), a| {
+        (d + a.deadline_frames, m + a.missed)
+    });
+    if deadline == 0 {
+        0.0
+    } else {
+        missed as f64 / deadline as f64
+    }
 }
 
 /// Miss rate over deadline-carrying frames (0 when none carry one).

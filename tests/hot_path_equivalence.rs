@@ -1,5 +1,5 @@
 //! Hot-path equivalence suite for the PR-7 optimizations: the
-//! fingerprint-served memo tier and batched arrival admission are pure
+//! fingerprint-served memo tier and interned cost tables are pure
 //! speedups — every observable simulation output must be bit-identical
 //! to the slow paths they replace.
 //!
@@ -9,16 +9,11 @@
 //!   structural key), and must reproduce the cold run — which compiled
 //!   everything fresh — to the last bit, with nonzero fingerprint hits
 //!   and zero collisions.
-//! * **Batched admission == per-event admission**: admitting arrivals
-//!   in windows of 1 (the historical event-at-a-time walk), 7 (an
-//!   awkward prime), and the default 32 must produce identical reports
-//!   under both [`ReschedulePolicy`] variants.
 //! * **Interned cost tables == per-tenant compiles**: a fleet of tenants
 //!   sharing a few models builds one cost table per distinct workload
 //!   per chip, and its report matches the reschedule-every-arrival run.
 
-use herald::core::sched::IncrementalScheduler;
-use herald::core::sim::{StreamReport, StreamSimulator, DEFAULT_ADMISSION_BATCH};
+use herald::core::sim::StreamReport;
 use herald::prelude::*;
 
 fn edge_maelstrom() -> AcceleratorConfig {
@@ -103,48 +98,6 @@ fn fingerprint_served_reruns_match_structural_compiles() {
             "{}: no collisions on real workloads",
             scenario.name()
         );
-    }
-}
-
-#[test]
-fn batched_admission_is_bit_identical_to_per_event() {
-    // Batch caps 1 (event-at-a-time), 7 (splits windows awkwardly) and
-    // the default 32 must not change a single bit of the simulation,
-    // whichever rescheduling policy runs above the core.
-    let config = edge_maelstrom();
-    for scenario in &scenarios() {
-        for policy in [
-            ReschedulePolicy::Incremental,
-            ReschedulePolicy::FullReschedule,
-        ] {
-            let run = |cap: usize| -> StreamReport {
-                let ctx = EvalContext::new();
-                let scheduler = HeraldScheduler::new(SchedulerConfig::default());
-                let sim = StreamSimulator::new(&config, ctx.cost_model())
-                    .with_policy(policy)
-                    .with_context(&ctx)
-                    .with_admission_batch(cap);
-                match policy {
-                    ReschedulePolicy::Incremental => {
-                        let inc = IncrementalScheduler::new(scheduler, ctx.clone());
-                        sim.simulate(&inc, scenario).unwrap()
-                    }
-                    ReschedulePolicy::FullReschedule => sim.simulate(&scheduler, scenario).unwrap(),
-                }
-            };
-            let per_event = run(1);
-            let batched_7 = run(7);
-            let batched_default = run(DEFAULT_ADMISSION_BATCH);
-            let label = format!("{} under {policy:?}", scenario.name());
-            assert_eq!(
-                per_event, batched_7,
-                "{label}: batch cap 7 diverged from per-event admission"
-            );
-            assert_eq!(
-                per_event, batched_default,
-                "{label}: default batching diverged from per-event admission"
-            );
-        }
     }
 }
 
