@@ -700,7 +700,7 @@ impl FleetDseEngine {
         survivors: &[&CandidateSpec],
     ) -> Result<Vec<FleetCandidate>, HeraldError> {
         map_chunked(survivors, self.config.parallel, |spec| {
-            let report = FleetSimulator::new(&spec.fleet(menu))
+            let report = FleetSimulator::new(&spec.fleet(menu).with_audit_trail(false))
                 .with_scheduler(SchedulerConfig {
                     fusion: spec.fusion,
                     ..self.config.scheduler

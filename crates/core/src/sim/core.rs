@@ -29,17 +29,18 @@
 //! interval list. Debug builds keep that list as the oracle for the
 //! asserts.
 //!
-//! The same commit order makes the busy-span timeline an append: a core
-//! that keeps spans ([`EventCore::keep_spans`]) records each commit's
-//! span in (start, way) order as it happens, with no sort afterwards.
+//! Each commit records its timeline once, in the shape the run reports
+//! ([`Timeline`]): a per-frame [`ScheduleEntry`] row for the one-shot
+//! replay, an append to the committing way's span list for an exact
+//! stream report, or the span's overlap with each utilization window for
+//! a sketch report. A way runs its tasks back to back, so its span list
+//! needs no sort afterwards.
 
 use super::profile::HotPathProfile;
-use super::report::BusySpan;
 use crate::exec::{AccSummary, ExecutionReport, Schedule, ScheduleEntry, SimError};
 use crate::task::{TaskGraph, TaskId};
 use herald_arch::AcceleratorConfig;
 use herald_cost::{CostModel, EnergyBreakdown, LayerCost, Metric};
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// The fraction of the global buffer available for staging one layer's
@@ -173,6 +174,21 @@ const BLOCKED: f64 = f64::INFINITY;
 /// since it is not [`BLOCKED`].
 const EXHAUSTED: f64 = f64::NAN;
 
+/// Where [`EventCore`] records each commit: the shape the run reports.
+pub(crate) enum Timeline {
+    /// A [`ScheduleEntry`] row per committed task, kept per frame (the
+    /// one-shot replay's [`ExecutionReport`]).
+    Entries,
+    /// One `(start_s, finish_s)` list per way (exact stream reports).
+    /// Each way runs its tasks back to back, so each list is strictly
+    /// increasing.
+    Spans(Vec<Vec<(f64, f64)>>),
+    /// Busy seconds per (window, way) cell at `[window * ways + way]`,
+    /// over fixed windows of `window_s` seconds from 0 (sketch stream
+    /// reports). Cells grow to the last window a span reaches.
+    Windows { window_s: f64, cells: Vec<f64> },
+}
+
 /// One frame in flight.
 struct FrameState<'a> {
     graph: GraphRef<'a>,
@@ -184,6 +200,10 @@ struct FrameState<'a> {
     /// Committed finish time per task.
     finish: Vec<Option<f64>>,
     remaining: usize,
+    /// The latest finish committed so far (the arrival before any).
+    finish_s: f64,
+    /// Rows in commit order, hence sorted by start (see
+    /// [`FrameResult::entries`]).
     entries: Vec<ScheduleEntry>,
     energy: EnergyBreakdown,
 }
@@ -196,7 +216,8 @@ pub(crate) struct FrameResult {
     /// Finish time of the frame's last task (equals `arrival_s` for an
     /// empty frame).
     pub finish_s: f64,
-    /// The frame's committed timeline, sorted by start time.
+    /// The frame's [`Timeline::Entries`] rows, sorted by start (empty
+    /// under any other timeline).
     pub entries: Vec<ScheduleEntry>,
     /// Energy of the frame's tasks.
     pub energy: EnergyBreakdown,
@@ -264,7 +285,6 @@ pub(crate) struct EventCore<'a> {
     /// stream allocates its per-frame vectors once, not per arrival).
     head_pool: Vec<Vec<usize>>,
     finish_pool: Vec<Vec<Option<f64>>>,
-    entries_pool: Vec<Vec<ScheduleEntry>>,
     /// Per-frame buffers served from a pool vs freshly allocated.
     arena_reuses: u64,
     arena_allocs: u64,
@@ -280,13 +300,18 @@ pub(crate) struct EventCore<'a> {
     per_acc: Vec<AccSummary>,
     energy: EnergyBreakdown,
     peak_mem: u64,
-    /// Every committed task's busy span in (start, way) order, or `None`
-    /// when the run keeps no spans (one-shot replay, sketch reports).
-    spans: Option<Vec<BusySpan>>,
+    timeline: Timeline,
 }
 
 impl<'a> EventCore<'a> {
+    /// A core that records [`Timeline::Entries`].
     pub(crate) fn new(acc: &'a AcceleratorConfig) -> Self {
+        Self::with_timeline(acc, Timeline::Entries)
+    }
+
+    /// A core that records every commit into `timeline`; a
+    /// [`Timeline::Spans`] must hold one list per way of `acc`.
+    pub(crate) fn with_timeline(acc: &'a AcceleratorConfig, timeline: Timeline) -> Self {
         let per_acc = acc
             .sub_accelerators()
             .iter()
@@ -316,7 +341,6 @@ impl<'a> EventCore<'a> {
             remaining_total: 0,
             head_pool: Vec::new(),
             finish_pool: Vec::new(),
-            entries_pool: Vec::new(),
             arena_reuses: 0,
             arena_allocs: 0,
             commits: 0,
@@ -326,20 +350,13 @@ impl<'a> EventCore<'a> {
             per_acc,
             energy: EnergyBreakdown::default(),
             peak_mem: 0,
-            spans: None,
+            timeline,
         }
     }
 
-    /// Records every later commit's busy span; [`EventCore::take_spans`]
-    /// hands the list over in (start, way) order.
-    pub(crate) fn keep_spans(&mut self) {
-        self.spans = Some(Vec::new());
-    }
-
-    /// The recorded busy spans in (start, way) order, empty when the core
-    /// keeps none.
-    pub(crate) fn take_spans(&mut self) -> Vec<BusySpan> {
-        self.spans.take().unwrap_or_default()
+    /// Hands over the recorded timeline, leaving [`Timeline::Entries`].
+    pub(crate) fn take_timeline(&mut self) -> Timeline {
+        std::mem::replace(&mut self.timeline, Timeline::Entries)
     }
 
     /// Staging cap per layer: the global-buffer share one layer may pin.
@@ -403,17 +420,9 @@ impl<'a> EventCore<'a> {
                 vec![None; remaining]
             }
         };
-        let entries = match self.entries_pool.pop() {
-            Some(mut e) => {
-                self.arena_reuses += 1;
-                e.clear();
-                e.reserve(remaining);
-                e
-            }
-            None => {
-                self.arena_allocs += 1;
-                Vec::with_capacity(remaining)
-            }
+        let entries = match self.timeline {
+            Timeline::Entries => Vec::with_capacity(remaining),
+            Timeline::Spans(_) | Timeline::Windows { .. } => Vec::new(),
         };
         let state = FrameState {
             graph,
@@ -423,6 +432,7 @@ impl<'a> EventCore<'a> {
             head,
             finish,
             remaining,
+            finish_s: arrival_s,
             entries,
             energy: EnergyBreakdown::default(),
         };
@@ -450,13 +460,6 @@ impl<'a> EventCore<'a> {
     /// Tasks not yet committed across all in-flight frames.
     fn total_remaining(&self) -> usize {
         self.remaining_total
-    }
-
-    /// Returns a harvested frame's entry buffer to the arena so the next
-    /// admission reuses it instead of allocating.
-    pub(crate) fn recycle_entries(&mut self, mut entries: Vec<ScheduleEntry>) {
-        entries.clear();
-        self.entries_pool.push(entries);
     }
 
     /// Copies the core's counters into `profile`: the per-frame buffers
@@ -750,15 +753,37 @@ impl<'a> EventCore<'a> {
         frame.finish[t.0] = Some(fin);
         frame.head[a] += 1;
         frame.remaining -= 1;
+        frame.finish_s = frame.finish_s.max(fin);
         frame.energy = frame.energy.plus(&energy);
-        frame.entries.push(ScheduleEntry {
-            task: t,
-            acc: a,
-            start_s: start,
-            finish_s: fin,
-            style,
-            energy_j: energy.total_j(),
-        });
+        match &mut self.timeline {
+            Timeline::Entries => frame.entries.push(ScheduleEntry {
+                task: t,
+                acc: a,
+                start_s: start,
+                finish_s: fin,
+                style,
+                energy_j: energy.total_j(),
+            }),
+            Timeline::Spans(lists) => lists[a].push((start, fin)),
+            // A horizon so short that its windows round to zero width
+            // gets no utilization cells, as the arrival windows get none.
+            Timeline::Windows { window_s, .. } if *window_s <= 0.0 => {}
+            Timeline::Windows { window_s, cells } => {
+                let window_s = *window_s;
+                let ways = self.acc_free.len();
+                let last = (fin / window_s) as usize;
+                if (last + 1) * ways > cells.len() {
+                    cells.resize((last + 1) * ways, 0.0);
+                }
+                for k in (start / window_s) as usize..=last {
+                    let lo = k as f64 * window_s;
+                    let overlap = (fin.min(lo + window_s) - start.max(lo)).max(0.0);
+                    if overlap > 0.0 {
+                        cells[k * ways + a] += overlap;
+                    }
+                }
+            }
+        }
         self.remaining_total -= 1;
         // Way `a` has a new head, and `t`'s finish may unblock the
         // frame's blocked heads; every other entry of every frame keeps
@@ -770,16 +795,6 @@ impl<'a> EventCore<'a> {
         self.per_acc[a].finish_s = fin;
         self.per_acc[a].energy_j += energy.total_j();
         self.energy = self.energy.plus(&energy);
-        if let Some(spans) = &mut self.spans {
-            push_span(
-                spans,
-                BusySpan {
-                    acc: a,
-                    start_s: start,
-                    finish_s: fin,
-                },
-            );
-        }
     }
 
     /// Debug builds: drops logged intervals that no future query can
@@ -825,25 +840,15 @@ impl<'a> EventCore<'a> {
     pub(crate) fn take_frame(&mut self, frame: usize) -> FrameResult {
         let f = self.frames[frame].take().expect("frame taken twice");
         assert_eq!(f.remaining, 0, "frame still has uncommitted tasks");
-        // Recycle the slot and the frame's scratch buffers; the entry
-        // buffer travels with the result (the caller may hand it back via
-        // `recycle_entries`).
+        // Recycle the slot and the frame's pooled buffers.
         self.active.retain(|&i| i != frame);
         self.free.push(frame);
         self.head_pool.push(f.head);
         self.finish_pool.push(f.finish);
-        // Commits start in non-decreasing order (`commit` asserts it), so
-        // the entries are already sorted by start.
-        let entries = f.entries;
-        debug_assert!(entries.is_sorted_by(|a, b| a.start_s <= b.start_s));
-        let finish_s = entries
-            .iter()
-            .map(|e| e.finish_s)
-            .fold(f.arrival_s, f64::max);
         FrameResult {
             arrival_s: f.arrival_s,
-            finish_s,
-            entries,
+            finish_s: f.finish_s,
+            entries: f.entries,
             energy: f.energy,
         }
     }
@@ -881,28 +886,6 @@ impl<'a> EventCore<'a> {
             self.peak_mem,
         )
     }
-}
-
-/// Appends `span` to a list in (start by [`f64::total_cmp`], way) order.
-/// Commits start in non-decreasing order, so only spans that share the
-/// new span's start can sort after it, and the insertion step stops at
-/// the first earlier start. Every layer lasts at least the cost model's
-/// fixed per-layer overhead and each way runs its tasks back to back, so
-/// a group of equal starts holds at most one span per way: the step
-/// moves a span past fewer than `ways` others, and no two spans share a
-/// key.
-fn push_span(spans: &mut Vec<BusySpan>, span: BusySpan) {
-    spans.push(span);
-    let mut i = spans.len() - 1;
-    while i > 0 && span_order(&spans[i - 1], &spans[i]).is_gt() {
-        spans.swap(i - 1, i);
-        i -= 1;
-    }
-}
-
-/// The (start by [`f64::total_cmp`], way) order of the busy-span list.
-fn span_order(x: &BusySpan, y: &BusySpan) -> Ordering {
-    x.start_s.total_cmp(&y.start_s).then(x.acc.cmp(&y.acc))
 }
 
 /// Occupancy of the global buffer at time `t` given committed intervals.
@@ -1378,11 +1361,13 @@ mod tests {
 
     /// A brute-force model of Sec. IV-A with no head table, memo or
     /// per-way occupancy: frames in admission order, each way's free
-    /// time, and every interval ever committed.
+    /// time, and every interval ever committed, also per way as
+    /// `(start, start + latency)` in commit order.
     struct Oracle {
         frames: Vec<OracleFrame>,
         acc_free: Vec<f64>,
         intervals: Vec<(f64, f64, u64)>,
+        way_spans: Vec<Vec<(f64, f64)>>,
         gb: u64,
         staging_cap: u64,
     }
@@ -1422,6 +1407,7 @@ mod tests {
             let fin = start + cost.latency_s;
             let occ = cost.buffer.occupancy_bytes(self.staging_cap);
             self.intervals.push((start, fin, occ));
+            self.way_spans[a].push((start, fin));
             self.acc_free[a] = fin;
             f.head[a] += 1;
             f.finish[t.0] = Some(fin);
@@ -1496,13 +1482,21 @@ mod tests {
         // workloads and schedules on 2-4 ways, frames admitted in bursts
         // at one instant, `run_until` at random limits, harvests at
         // random. After every step the head table equals a
-        // recomputation, and every commit is the oracle's pick.
+        // recomputation, every commit is the oracle's pick, and a
+        // span-keeping core fed the same steps holds the oracle's commits
+        // per way. An exact engine run of each case's workloads then
+        // reports one span per commit, strictly increasing in (start,
+        // way).
+        use crate::sched::HeraldScheduler;
+        use crate::sim::StreamSimulator;
         use herald_arch::{HardwareResources, Partition};
         use herald_dataflow::DataflowStyle;
+        use herald_workloads::{Scenario, StreamSpec};
 
         let mut rng = SplitMix64::seed_from_u64(0x4EAD_7AB1_E018);
         let cost = CostModel::default();
         let (mut stepped, mut fallbacks, mut reused, mut blocked, mut exhausted) = (0, 0, 0, 0, 0);
+        let (mut engine_spans, mut shared_starts) = (0, 0);
         for case in 0..24 {
             let ways = rng.gen_range(2, 5);
             let gb: u64 = [4 << 20, 64 << 10, 16 << 10][rng.gen_range(0, 3)];
@@ -1513,9 +1507,11 @@ mod tests {
             } else {
                 AcceleratorConfig::sm_fda(DataflowStyle::Nvdla, ways, res).unwrap()
             };
+            let mut workloads = Vec::new();
             let jobs: Vec<(Arc<TaskGraph>, Arc<Schedule>, CostTable)> = (0..rng.gen_range(1, 4))
                 .map(|_| {
-                    let graph = TaskGraph::new(&random_workload(&mut rng));
+                    workloads.push(random_workload(&mut rng));
+                    let graph = TaskGraph::new(workloads.last().unwrap());
                     let schedule = random_schedule(&mut rng, &graph, ways);
                     let costs = build_cost_table(&graph, &schedule, &acc, &cost, Metric::Edp);
                     (Arc::new(graph), Arc::new(schedule), costs)
@@ -1524,10 +1520,13 @@ mod tests {
             // Limits move in steps of about one layer.
             let tick = jobs[0].2.iter().map(|c| c.latency_s).sum::<f64>() / jobs[0].2.len() as f64;
             let mut core = EventCore::new(&acc);
+            let mut span_core =
+                EventCore::with_timeline(&acc, Timeline::Spans(vec![Vec::new(); ways]));
             let mut oracle = Oracle {
                 frames: Vec::new(),
                 acc_free: vec![0.0; ways],
                 intervals: Vec::new(),
+                way_spans: vec![Vec::new(); ways],
                 gb,
                 staging_cap: gb / STAGING_FRACTION,
             };
@@ -1539,15 +1538,17 @@ mod tests {
                         for _ in 0..rng.gen_range(1, 4) {
                             let (graph, schedule, costs) =
                                 jobs[rng.gen_range(0, jobs.len())].clone();
-                            let slot = core
-                                .admit_with_costs(
+                            let [slot, span_slot] = [&mut core, &mut span_core].map(|core| {
+                                core.admit_with_costs(
                                     GraphRef::Shared(Arc::clone(&graph)),
                                     ScheduleRef::Shared(Arc::clone(&schedule)),
                                     costs.clone(),
                                     max_occupancy(&acc, &costs),
                                     now,
                                 )
-                                .unwrap();
+                                .unwrap()
+                            });
+                            assert_eq!(slot, span_slot, "case {case}");
                             reused += usize::from(slot + 1 < core.frames.len());
                             oracle.frames.push(OracleFrame {
                                 slot,
@@ -1573,6 +1574,7 @@ mod tests {
                         }
                         for slot in done {
                             core.take_frame(slot);
+                            span_core.take_frame(slot);
                         }
                         oracle
                             .frames
@@ -1596,6 +1598,7 @@ mod tests {
                         } else {
                             core.run_until(limit).unwrap();
                         }
+                        span_core.run_until(limit).unwrap();
                         assert_eq!(core.cached_select_best(), oracle.pick(), "case {case}");
                         if !drain {
                             now = limit;
@@ -1605,9 +1608,38 @@ mod tests {
                 let (b, e) = assert_matches_oracle(&core, &oracle, case);
                 blocked += b;
                 exhausted += e;
+                let Timeline::Spans(lists) = &span_core.timeline else {
+                    unreachable!("the span core keeps spans");
+                };
+                assert_eq!(lists, &oracle.way_spans, "case {case}");
             }
             assert_eq!(core.total_remaining(), 0, "case {case}");
             fallbacks += core.fallback_scans;
+
+            // Poisson streams of the case's workloads, a frame about every
+            // two layers, so frames overlap.
+            let scenario = workloads.into_iter().enumerate().fold(
+                Scenario::new("oracle", 48.0 * tick),
+                |sc, (i, w)| {
+                    let seed = (case * 8 + i) as u64;
+                    sc.stream(StreamSpec::poisson(format!("s{i}"), w, 0.5 / tick, seed))
+                },
+            );
+            let (report, profile) = StreamSimulator::new(&acc, &cost)
+                .simulate_profiled(&HeraldScheduler::default(), &scenario)
+                .unwrap();
+            let spans = report.busy_spans();
+            assert_eq!(spans.len() as u64, profile.commits, "case {case}");
+            let merged: Vec<_> = spans.iter().collect();
+            for pair in merged.windows(2) {
+                let order = pair[0].start_s.total_cmp(&pair[1].start_s);
+                assert!(
+                    order.then(pair[0].acc.cmp(&pair[1].acc)).is_lt(),
+                    "case {case}: {pair:?}"
+                );
+                shared_starts += usize::from(order.is_eq());
+            }
+            engine_spans += merged.len();
         }
         // The cases reach every state the table and the selection have.
         assert!(
@@ -1615,6 +1647,12 @@ mod tests {
             "{stepped} {fallbacks} {reused}"
         );
         assert!(blocked > 0 && exhausted > 0, "{blocked} {exhausted}");
+        // Spans on different ways start together, so the merge's way
+        // order is exercised.
+        assert!(
+            engine_spans > 0 && shared_starts > 0,
+            "{engine_spans} {shared_starts}"
+        );
     }
 
     #[test]

@@ -21,11 +21,11 @@ use crate::error::HeraldError;
 use crate::sched::Scheduler;
 use crate::sim::core::{
     build_cost_table, max_occupancy, CostTable, EventCore, FrameResult, GraphRef, ScheduleRef,
+    Timeline,
 };
 use crate::sim::profile::HotPathProfile;
 use crate::sim::report::{
-    ArrivalWindow, BusySpan, FrameRecord, QuantileSketch, ReportMode, StreamAgg, StreamReport,
-    SwapRecord,
+    ArrivalWindow, FrameRecord, QuantileSketch, ReportMode, StreamAgg, StreamReport, SwapRecord,
 };
 use crate::task::TaskGraph;
 use herald_arch::AcceleratorConfig;
@@ -693,12 +693,12 @@ struct PendingFrame {
     workload: u32,
 }
 
-/// Mode-dispatched frame accumulation: exact mode retains every record
-/// (its busy spans are recorded by the core at commit, already in
-/// (start, way) order); sketch mode folds each completion, spans
-/// included, into the quantile sketch, its stream's [`StreamAgg`] (kept
-/// in the stream's row), and the fixed arrival/utilization windows,
-/// keeping only sampled exemplar records.
+/// Mode-dispatched frame accumulation: exact mode retains every record;
+/// sketch mode folds each completion into the quantile sketch, its
+/// stream's [`StreamAgg`] (kept in the stream's row) and the fixed
+/// arrival windows, keeping only sampled exemplar records. The busy
+/// spans never pass through here: the core records them at commit (see
+/// [`Timeline`]).
 struct Collector {
     mode: ReportMode,
     completed: u64,
@@ -706,14 +706,12 @@ struct Collector {
     frames: Vec<FrameRecord>,
     sketch: QuantileSketch,
     window_s: f64,
-    ways: usize,
-    util_windows: Vec<f64>,
     miss_windows: Vec<ArrivalWindow>,
     sample_every: usize,
 }
 
 impl Collector {
-    fn new(mode: ReportMode, ways: usize, horizon_s: f64) -> Self {
+    fn new(mode: ReportMode, horizon_s: f64) -> Self {
         let (sketch, window_s, sample_every) = match mode {
             ReportMode::Exact => (QuantileSketch::default(), 0.0, 0),
             ReportMode::Sketch {
@@ -732,8 +730,6 @@ impl Collector {
             frames: Vec::new(),
             sketch,
             window_s,
-            ways,
-            util_windows: Vec::new(),
             miss_windows: Vec::new(),
             sample_every,
         }
@@ -787,22 +783,6 @@ impl Collector {
                     win.missed += 1;
                 }
             }
-            for e in &done.entries {
-                let (acc, start_s, span_finish_s) = (e.acc, e.start_s, e.finish_s);
-                let first = (start_s / self.window_s) as usize;
-                let last = (span_finish_s / self.window_s) as usize;
-                if (last + 1) * self.ways > self.util_windows.len() {
-                    self.util_windows.resize((last + 1) * self.ways, 0.0);
-                }
-                for k in first..=last {
-                    let lo = k as f64 * self.window_s;
-                    let hi = lo + self.window_s;
-                    let overlap = (span_finish_s.min(hi) - start_s.max(lo)).max(0.0);
-                    if overlap > 0.0 {
-                        self.util_windows[k * self.ways + acc] += overlap;
-                    }
-                }
-            }
         }
         if self.sample_every > 0 && (self.completed - 1).is_multiple_of(self.sample_every as u64) {
             record(&mut self.frames);
@@ -849,7 +829,6 @@ fn harvest(
             &workloads[p.workload as usize].name,
             &done,
         );
-        core.recycle_entries(done.entries);
     }
 }
 
@@ -1079,13 +1058,18 @@ impl<'a> StreamSimulator<'a> {
             }));
         }
 
-        let mut core = EventCore::new(self.acc);
-        if self.report.is_exact() {
-            core.keep_spans();
-        }
+        let mut col = Collector::new(self.report, horizon_s);
+        let timeline = match self.report {
+            ReportMode::Exact => {
+                Timeline::Spans(vec![Vec::new(); self.acc.sub_accelerators().len()])
+            }
+            ReportMode::Sketch { .. } => Timeline::Windows {
+                window_s: col.window_s,
+                cells: Vec::new(),
+            },
+        };
+        let mut core = EventCore::with_timeline(self.acc, timeline);
         let mut pending: Vec<PendingFrame> = Vec::new();
-        let ways = core.per_acc().len();
-        let mut col = Collector::new(self.report, ways, horizon_s);
         let mut swaps: Vec<SwapRecord> = Vec::new();
         let mut schedule_cache_hits = 0usize;
         let mut events_processed = 0usize;
@@ -1322,7 +1306,11 @@ impl<'a> StreamSimulator<'a> {
                 .then(a.stream.cmp(&b.stream))
                 .then(a.seq.cmp(&b.seq))
         });
-        let busy_spans = core.take_spans();
+        let (busy_spans, util_windows) = match core.take_timeline() {
+            Timeline::Spans(lists) => (lists, Vec::new()),
+            Timeline::Windows { cells, .. } => (Vec::new(), cells),
+            Timeline::Entries => unreachable!("a stream run records spans or windows"),
+        };
         let scheduler_invocations = compiler.invocations;
         schedule_cache_hits += compiler.cache_hits;
 
@@ -1340,7 +1328,10 @@ impl<'a> StreamSimulator<'a> {
         core.record_counters(&mut profile);
         profile.mem.frame_bytes =
             (col.frames.capacity() * std::mem::size_of::<FrameRecord>()) as u64;
-        profile.mem.span_bytes = (busy_spans.capacity() * std::mem::size_of::<BusySpan>()) as u64;
+        profile.mem.span_bytes = busy_spans
+            .iter()
+            .map(|list| (list.capacity() * std::mem::size_of::<(f64, f64)>()) as u64)
+            .sum();
         let aggs: Vec<StreamAgg> = if self.report.is_exact() {
             Vec::new()
         } else {
@@ -1349,7 +1340,7 @@ impl<'a> StreamSimulator<'a> {
         if !self.report.is_exact() {
             profile.mem.sketch_bytes = col.sketch.memory_bytes();
             profile.mem.agg_bytes = (aggs.capacity() * std::mem::size_of::<StreamAgg>()
-                + col.util_windows.capacity() * std::mem::size_of::<f64>()
+                + util_windows.capacity() * std::mem::size_of::<f64>()
                 + col.miss_windows.capacity() * std::mem::size_of::<ArrivalWindow>())
                 as u64;
         }
@@ -1377,7 +1368,7 @@ impl<'a> StreamSimulator<'a> {
                 col.sketch,
                 aggs,
                 col.window_s,
-                col.util_windows,
+                util_windows,
                 col.miss_windows,
             );
         }

@@ -33,6 +33,6 @@ pub(crate) mod report;
 pub use engine::{ReschedulePolicy, StreamSimulator};
 pub use profile::{HotPathProfile, MemProfile};
 pub use report::{
-    ArrivalWindow, BusySpan, FrameRecord, QuantileSketch, ReportMode, StreamAgg, StreamReport,
-    StreamStats, SwapRecord, UtilizationSample,
+    ArrivalWindow, BusySpan, BusySpans, FrameRecord, QuantileSketch, ReportMode, StreamAgg,
+    StreamReport, StreamStats, SwapRecord, UtilizationSample,
 };

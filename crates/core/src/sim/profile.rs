@@ -31,7 +31,8 @@ pub struct MemProfile {
     /// Retained [`crate::sim::FrameRecord`]s (all frames in exact mode,
     /// sampled exemplars in sketch mode).
     pub frame_bytes: u64,
-    /// Retained busy spans (exact mode only).
+    /// Retained busy spans (exact mode only): the capacities of the
+    /// per-way `(start_s, finish_s)` lists, 16 bytes a span.
     pub span_bytes: u64,
     /// Fleet audit trails: frame assignments and dropped-frame records.
     pub audit_bytes: u64,

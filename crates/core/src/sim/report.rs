@@ -58,6 +58,51 @@ pub struct BusySpan {
     pub finish_s: f64,
 }
 
+/// The busy spans of a [`StreamReport`] (see
+/// [`StreamReport::busy_spans`]): one `(start_s, finish_s)` list per
+/// sub-accelerator, each strictly increasing, read as [`BusySpan`]s.
+/// Two views are equal when their per-sub-accelerator lists are.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BusySpans<'a> {
+    ways: &'a [Vec<(f64, f64)>],
+}
+
+impl<'a> BusySpans<'a> {
+    /// Spans across all sub-accelerators.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ways.iter().map(Vec::len).sum()
+    }
+
+    /// Whether no sub-accelerator has a span.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ways.iter().all(Vec::is_empty)
+    }
+
+    /// Every span in (start by [`f64::total_cmp`], sub-accelerator)
+    /// order, merged from the per-sub-accelerator lists.
+    pub fn iter(&self) -> impl Iterator<Item = BusySpan> + 'a {
+        let ways = self.ways;
+        let mut next = vec![0usize; ways.len()];
+        std::iter::from_fn(move || {
+            // `min_by` keeps the first of equal starts: the lower way.
+            let (acc, &(start_s, finish_s)) = ways
+                .iter()
+                .zip(&next)
+                .enumerate()
+                .filter_map(|(acc, (list, &i))| Some((acc, list.get(i)?)))
+                .min_by(|(_, x), (_, y)| x.0.total_cmp(&y.0))?;
+            next[acc] += 1;
+            Some(BusySpan {
+                acc,
+                start_s,
+                finish_s,
+            })
+        })
+    }
+}
+
 /// How a [`StreamReport`] aggregates its per-frame observations.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ReportMode {
@@ -470,7 +515,8 @@ pub struct StreamReport {
     schedule_cache_hits: usize,
     placement_evaluations: u64,
     events_processed: usize,
-    busy_spans: Vec<BusySpan>,
+    /// One `(start_s, finish_s)` list per sub-accelerator (exact mode).
+    busy_spans: Vec<Vec<(f64, f64)>>,
     sketch: Option<QuantileSketch>,
     stream_aggs: Vec<StreamAgg>,
     window_s: f64,
@@ -494,7 +540,7 @@ impl StreamReport {
         schedule_cache_hits: usize,
         placement_evaluations: u64,
         events_processed: usize,
-        busy_spans: Vec<BusySpan>,
+        busy_spans: Vec<Vec<(f64, f64)>>,
     ) -> Self {
         Self {
             scenario,
@@ -636,14 +682,18 @@ impl StreamReport {
         self.peak_memory_bytes
     }
 
-    /// Raw per-sub-accelerator busy intervals across all frames, in
-    /// (start, sub-accelerator) order: the event core records each one
-    /// when it commits the layer, and layers commit in non-decreasing
-    /// start order (the material behind
-    /// [`StreamReport::utilization_timeline`]). Empty in sketch mode.
+    /// Raw per-sub-accelerator busy intervals across all frames (the
+    /// material behind [`StreamReport::utilization_timeline`]). The event
+    /// core appends each layer's `(start, finish)` to its
+    /// sub-accelerator's list when it commits the layer, 16 bytes a
+    /// span, and [`BusySpans::iter`] merges the lists in (start,
+    /// sub-accelerator) order. Empty in sketch mode, where the core adds
+    /// each span to its utilization windows at commit instead.
     #[must_use]
-    pub fn busy_spans(&self) -> &[BusySpan] {
-        &self.busy_spans
+    pub fn busy_spans(&self) -> BusySpans<'_> {
+        BusySpans {
+            ways: &self.busy_spans,
+        }
     }
 
     /// How many times the online scheduler actually compiled a schedule
@@ -869,15 +919,19 @@ impl StreamReport {
                 })
                 .collect();
         }
+        // A cell only sums spans of its own sub-accelerator, so walking
+        // one list at a time adds them in the merged order.
         let mut busy = vec![vec![0.0f64; ways]; windows];
-        for span in &self.busy_spans {
-            let first = ((span.start_s / window_s) as usize).min(windows - 1);
-            let last = ((span.finish_s / window_s) as usize).min(windows - 1);
-            for (w, row) in busy.iter_mut().enumerate().take(last + 1).skip(first) {
-                let lo = w as f64 * window_s;
-                let hi = lo + window_s;
-                let overlap = (span.finish_s.min(hi) - span.start_s.max(lo)).max(0.0);
-                row[span.acc] += overlap;
+        for (acc, list) in self.busy_spans.iter().enumerate() {
+            for &(start_s, finish_s) in list {
+                let first = ((start_s / window_s) as usize).min(windows - 1);
+                let last = ((finish_s / window_s) as usize).min(windows - 1);
+                for (w, row) in busy.iter_mut().enumerate().take(last + 1).skip(first) {
+                    let lo = w as f64 * window_s;
+                    let hi = lo + window_s;
+                    let overlap = (finish_s.min(hi) - start_s.max(lo)).max(0.0);
+                    row[acc] += overlap;
+                }
             }
         }
         busy.into_iter()
@@ -1092,11 +1146,7 @@ mod tests {
             0,
             0,
             0,
-            vec![BusySpan {
-                acc: 0,
-                start_s: 0.0,
-                finish_s: 1.0,
-            }],
+            vec![vec![(0.0, 1.0)]],
         )
     }
 
@@ -1370,6 +1420,129 @@ mod tests {
         assert_eq!(stats[0].frames, 2);
         assert!((stats[0].mean_latency_s - 0.3).abs() < 1e-12);
         assert_eq!(stats[1].p99_latency_s, 0.9); // envelope: max
+    }
+
+    /// The proportional-overlap fold both report modes use: each span
+    /// adds its overlap with every window it touches to `cells[window *
+    /// ways + way]`, growing `cells` to the last window reached when
+    /// `grow`, clamping into the last window otherwise. (Adding a zero
+    /// overlap leaves a cell's bits as they are.)
+    fn fold_spans(
+        spans: impl Iterator<Item = BusySpan>,
+        window_s: f64,
+        ways: usize,
+        cells: &mut Vec<f64>,
+        grow: bool,
+    ) {
+        for span in spans {
+            let windows = cells.len() / ways;
+            let clamp = |t: f64| {
+                let k = (t / window_s) as usize;
+                if grow {
+                    k
+                } else {
+                    k.min(windows - 1)
+                }
+            };
+            let (first, last) = (clamp(span.start_s), clamp(span.finish_s));
+            if (last + 1) * ways > cells.len() {
+                cells.resize((last + 1) * ways, 0.0);
+            }
+            for k in first..=last {
+                let lo = k as f64 * window_s;
+                let overlap = (span.finish_s.min(lo + window_s) - span.start_s.max(lo)).max(0.0);
+                if overlap > 0.0 {
+                    cells[k * ways + span.acc] += overlap;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sketch_windows_and_exact_timelines_fold_the_merged_spans() {
+        // Independent oracle: the merged busy spans of an exact run,
+        // folded by hand, against the cells a sketch run of the same
+        // scenario folded at commit, and against the exact report's
+        // per-way timeline walk.
+        use crate::sched::HeraldScheduler;
+        use crate::sim::StreamSimulator;
+        use herald_arch::{AcceleratorClass, AcceleratorConfig, Partition};
+        use herald_cost::CostModel;
+        use herald_workloads::{single_model, Scenario, StreamSpec};
+
+        let res = AcceleratorClass::Edge.resources();
+        let acc =
+            AcceleratorConfig::maelstrom(res, Partition::even(2, res.pes, res.bandwidth_gbps))
+                .unwrap();
+        let workload = || single_model(herald_models::zoo::mobilenet_v1(), 1);
+        let scenario = Scenario::new("fold", 0.2)
+            .stream(StreamSpec::periodic("a", workload(), 60.0))
+            .stream(StreamSpec::poisson("b", workload(), 80.0, 2026));
+        let cost = CostModel::default();
+        let run = |mode| {
+            StreamSimulator::new(&acc, &cost)
+                .with_report_mode(mode)
+                .simulate(&HeraldScheduler::default(), &scenario)
+                .unwrap()
+        };
+        let (exact, sketch) = (run(ReportMode::Exact), run(ReportMode::sketch()));
+        let ways = exact.per_acc().len();
+        assert_eq!(ways, 2);
+        let overlapping = exact.frames().iter().any(|f| {
+            exact
+                .frames()
+                .iter()
+                .any(|g| g.arrival_s > f.arrival_s && g.arrival_s < f.finish_s)
+        });
+        assert!(overlapping, "frames overlap in time");
+
+        let mut cells = Vec::new();
+        fold_spans(
+            exact.busy_spans().iter(),
+            sketch.window_s,
+            ways,
+            &mut cells,
+            true,
+        );
+        assert_eq!(cells.len(), sketch.util_windows.len());
+        assert!(cells.len() >= 128 * ways);
+        let mut bit_equal = 0;
+        for (k, (hand, folded)) in cells.iter().zip(&sketch.util_windows).enumerate() {
+            assert!(
+                (hand - folded).abs() <= 1e-12 * hand.abs(),
+                "cell {k}: {hand} vs {folded}"
+            );
+            bit_equal += usize::from(hand.to_bits() == folded.to_bits());
+        }
+        // All 258 cells (129 windows x 2 ways) are bit-equal: a cell sums
+        // the spans of one way, and one way's spans reach it in the same
+        // order at commit and through the merge.
+        assert_eq!(bit_equal, cells.len());
+        for (a, summary) in sketch.per_acc().iter().enumerate() {
+            let busy: f64 = cells.iter().skip(a).step_by(ways).sum();
+            assert!(
+                (busy - summary.busy_s).abs() <= 1e-12 * summary.busy_s,
+                "way {a}"
+            );
+        }
+
+        for window_s in [0.003, 0.0125, 0.07] {
+            let windows = (exact.makespan_s() / window_s).ceil() as usize;
+            let mut cells = vec![0.0; windows * ways];
+            fold_spans(exact.busy_spans().iter(), window_s, ways, &mut cells, false);
+            let timeline = exact.utilization_timeline(window_s);
+            assert_eq!(timeline.len(), windows);
+            for (w, sample) in timeline.iter().enumerate() {
+                for (a, util) in sample.per_acc.iter().enumerate() {
+                    let hand = cells[w * ways + a] / window_s;
+                    assert_eq!(
+                        util.to_bits(),
+                        hand.to_bits(),
+                        "{window_s} s, window {w}, way {a}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

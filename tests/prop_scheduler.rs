@@ -313,7 +313,7 @@ fn streaming_scenarios_are_legal_and_deterministic() {
             }
             // The report's spans come in strictly increasing (start,
             // sub-accelerator) order as returned: no two share a key.
-            let spans = report.busy_spans();
+            let spans: Vec<_> = report.busy_spans().iter().collect();
             for pair in spans.windows(2) {
                 let order = pair[0]
                     .start_s
