@@ -18,7 +18,7 @@
 
 use herald::prelude::*;
 use herald_bench::{
-    bench_args, print_profile, stream_fixed_best_of, stream_fixed_profiled, utilization_fps_scale,
+    bench_args, print_profile, stream_fixed, stream_fixed_best_of, utilization_fps_scale,
 };
 use herald_workloads::Scenario;
 use serde::Serialize as _;
@@ -97,11 +97,10 @@ fn main() -> Result<(), HeraldError> {
             // latency across all three styles.
             let mut best_fda: Option<StreamOutcome> = None;
             for style in DataflowStyle::ALL {
-                let (fda, _, _) = stream_fixed_profiled(
+                let fda = stream_fixed(
                     &scenario,
                     AcceleratorConfig::fda(style, class.resources()),
                     fast,
-                    ReschedulePolicy::Incremental,
                 )?;
                 let better = match &best_fda {
                     Some(b) => {

@@ -35,8 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod harness;
-
 use herald::{Experiment, ExperimentOutcome, HeraldError, StreamOutcome};
 use herald_arch::{AcceleratorClass, AcceleratorConfig, HardwareResources};
 use herald_core::ctx::{EvalContext, EvalSnapshot};
@@ -185,53 +183,17 @@ pub fn stream_fixed(
     config: AcceleratorConfig,
     fast: bool,
 ) -> Result<StreamOutcome, HeraldError> {
-    stream_fixed_timed(scenario, config, fast, ReschedulePolicy::Incremental).map(|(o, _)| o)
+    let exp = Experiment::new(scenario.design_workload());
+    let exp = if fast { exp.fast() } else { exp };
+    exp.on_accelerator(config).scenario(scenario)
 }
 
 /// Streams a scenario on one fixed accelerator under an explicit
-/// [`ReschedulePolicy`], returning the outcome plus the simulation's
-/// wall-clock seconds (for events-per-second reporting).
-///
-/// # Errors
-///
-/// Propagates any [`HeraldError`] from [`Experiment::scenario`].
-pub fn stream_fixed_timed(
-    scenario: &Scenario,
-    config: AcceleratorConfig,
-    fast: bool,
-    policy: ReschedulePolicy,
-) -> Result<(StreamOutcome, f64), HeraldError> {
-    let exp = Experiment::new(scenario.design_workload());
-    let exp = if fast { exp.fast() } else { exp };
-    let t0 = std::time::Instant::now();
-    let outcome = exp
-        .on_accelerator(config)
-        .reschedule_policy(policy)
-        .scenario(scenario)?;
-    Ok((outcome, t0.elapsed().as_secs_f64()))
-}
-
-/// [`stream_fixed_timed`] plus the streaming engine's
-/// [`HotPathProfile`]: the outcome and wall-clock are measured exactly
-/// as there (the report is bit-identical), with the hot-path counters
-/// and per-phase timers returned beside them.
-///
-/// # Errors
-///
-/// Propagates any [`HeraldError`] from
-/// [`Experiment::scenario_profiled`].
-pub fn stream_fixed_profiled(
-    scenario: &Scenario,
-    config: AcceleratorConfig,
-    fast: bool,
-    policy: ReschedulePolicy,
-) -> Result<(StreamOutcome, f64, HotPathProfile), HeraldError> {
-    stream_fixed_best_of(scenario, config, fast, policy, 1)
-}
-
-/// [`stream_fixed_profiled`] measured `repeats` times, keeping the run
-/// with the smallest wall-clock — the standard way to strip scheduler
-/// jitter from sub-millisecond simulation walls. Every repeat starts
+/// [`ReschedulePolicy`] through [`Experiment::scenario_profiled`],
+/// `repeats` times, keeping the run with the smallest wall-clock — the
+/// standard way to strip scheduler jitter from sub-millisecond
+/// simulation walls. Returns the outcome, its wall-clock seconds and
+/// the streaming engine's [`HotPathProfile`]. Every repeat starts
 /// from a fresh evaluation context, so the simulation is bit-for-bit
 /// deterministic across repeats (asserted: the kept report equals every
 /// other repeat's report) and the returned outcome, counters and

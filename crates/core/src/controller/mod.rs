@@ -46,7 +46,7 @@ pub use policy::{
     ControllerPolicy, FleetController, PredictiveRepartitioner, StaticController,
     ThresholdAutoscaler,
 };
-pub(crate) use sim::{simulate_controlled, walk, Estimates, WalkParams};
+pub(crate) use sim::{simulate_controlled, walk, Estimator, WalkParams};
 pub use sim::{ControlledFleetReport, ControlledFleetSimulator, MissWindow};
 
 use crate::error::HeraldError;
@@ -361,9 +361,11 @@ impl ControlView<'_> {
     }
 
     /// Predicted single-frame service time of `stream`'s *current*
-    /// workload version on `config`, seconds — the PR-5 service-estimate
-    /// surrogate, served from the controller's schedule memo (each
-    /// distinct workload × configuration is scheduled once per run).
+    /// workload version on `config`, seconds — the service-estimate
+    /// surrogate, read from the run's one estimator, the same cells the
+    /// dispatch walk reads. A configuration outside the fleet, such as a
+    /// repartition candidate, adds one row on first sight; each distinct
+    /// workload × configuration is scheduled at most once per run.
     ///
     /// # Errors
     ///

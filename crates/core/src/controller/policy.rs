@@ -456,6 +456,7 @@ mod tests {
     use super::*;
     use crate::controller::sim::Estimator;
     use crate::controller::{ActionCosts, ChipStatus, ChipTelemetry, ControlView};
+    use crate::ctx::EvalContext;
     use crate::fleet::WalkRow;
     use crate::sched::SchedulerConfig;
     use herald_arch::AcceleratorClass;
@@ -521,7 +522,7 @@ mod tests {
     #[test]
     fn autoscaler_scales_on_band_crossings_with_cooldown() {
         let scenario = two_stream_scenario();
-        let est = Estimator::new(&scenario, SchedulerConfig::default());
+        let est = Estimator::new(&scenario, SchedulerConfig::default(), EvalContext::new());
         let streams = est.workloads.walk_rows(&scenario);
         let pins = vec![None; 2];
         let view = view_fixture(&est, &streams, &pins, Vec::new());
@@ -554,7 +555,7 @@ mod tests {
     #[test]
     fn autoscaler_mid_band_resets_sustain_streaks() {
         let scenario = two_stream_scenario();
-        let est = Estimator::new(&scenario, SchedulerConfig::default());
+        let est = Estimator::new(&scenario, SchedulerConfig::default(), EvalContext::new());
         let streams = est.workloads.walk_rows(&scenario);
         let pins = vec![None; 2];
         let view = view_fixture(&est, &streams, &pins, Vec::new());
@@ -573,7 +574,7 @@ mod tests {
     #[test]
     fn repartitioner_is_deterministic_quiet_in_band_and_cost_aware() {
         let scenario = two_stream_scenario();
-        let est = Estimator::new(&scenario, SchedulerConfig::default());
+        let est = Estimator::new(&scenario, SchedulerConfig::default(), EvalContext::new());
         let streams = est.workloads.walk_rows(&scenario);
         let pins = vec![None; 2];
         let probe =
@@ -640,6 +641,37 @@ mod tests {
             .decide(&telemetry, &costly)
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn view_estimates_price_a_configuration_outside_the_fleet_once() {
+        let scenario = two_stream_scenario();
+        let ctx = EvalContext::new();
+        let est = Estimator::new(&scenario, SchedulerConfig::default(), ctx.clone());
+        let streams = est.workloads.walk_rows(&scenario);
+        let pins = vec![None; 2];
+        let edge = AcceleratorClass::Edge.resources();
+        let chip = AcceleratorConfig::fda(DataflowStyle::Nvdla, edge);
+        let chips = vec![ChipStatus {
+            slot: 0,
+            name: "chip0".into(),
+            active: true,
+            area_mm2: chip.area_mm2(),
+            config: chip.clone(),
+        }];
+        let view = view_fixture(&est, &streams, &pins, chips);
+        // The fleet's chip, priced for both streams as a walk would.
+        for stream in 0..2 {
+            view.estimate(stream, &chip).unwrap();
+        }
+        let work = || (est.rows(), ctx.stats().scheduler_runs());
+        assert_eq!(work(), (1, 2));
+        let outside = AcceleratorConfig::fda(DataflowStyle::ShiDianNao, edge);
+        let first = view.estimate(0, &outside).unwrap();
+        assert_eq!(work(), (2, 3), "one new row, one scheduler run");
+        let again = view.estimate(0, &outside).unwrap();
+        assert_eq!(again.to_bits(), first.to_bits());
+        assert_eq!(work(), (2, 3), "a repeat adds neither");
     }
 
     #[test]

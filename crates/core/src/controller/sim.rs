@@ -1,6 +1,6 @@
 //! The controlled fleet simulator: the epoch-based generalization of
-//! the PR-4 dispatch walk, plus the lazy service-estimate surrogate and
-//! the controlled report with its transient/recovery metrics.
+//! the fleet dispatch walk, plus the one service estimator and the
+//! controlled report with its transient/recovery metrics.
 //!
 //! [`walk`] is the one dispatch walk, with three callers:
 //! [`crate::fleet::FleetSimulator`] runs it (through
@@ -9,8 +9,15 @@
 //! construction; [`ControlledFleetSimulator`] runs it with a
 //! [`ControllerConfig`] plus a live [`FleetController`]; and the fleet
 //! DSE's screening surrogate ([`crate::dse::FleetDseEngine`]) runs it on
-//! each candidate's precomputed estimates and reads every admitted
-//! frame's predicted finish instead of simulating the chips.
+//! each candidate and reads every admitted frame's predicted finish
+//! instead of simulating the chips.
+//!
+//! All three read single-frame service estimates from one lazy
+//! [`Estimator`] keyed by (distinct workload, configuration): the fleet
+//! simulator and the controller build one per run over a fresh context,
+//! and the fleet DSE one per fusion level over its search context. A
+//! controller prices configurations that a repartition creates mid-run
+//! through the same estimator ([`ControlView::estimate`]).
 
 use crate::controller::{
     ChipStatus, ChipTelemetry, ControlAction, ControlView, ControllerConfig, FleetController,
@@ -20,9 +27,8 @@ use crate::ctx::{EvalContext, ScheduleKey};
 use crate::dse::worker_panic_error;
 use crate::error::HeraldError;
 use crate::fleet::{
-    distinct_workloads, service_estimates_with, AdmissionPolicy, ChipLoad, DispatchPolicy,
-    Dispatcher, DroppedFrame, FleetConfig, FleetReport, FrameAssignment, FrameView,
-    ServiceEstimates, WalkRow, WorkloadIndex,
+    distinct_workloads, AdmissionPolicy, ChipLoad, DispatchPolicy, Dispatcher, DroppedFrame,
+    FleetConfig, FleetReport, FrameAssignment, FrameView, WalkRow, WorkloadIndex,
 };
 use crate::sched::{HeraldScheduler, IncrementalScheduler, Scheduler, SchedulerConfig};
 use crate::sim::engine::{
@@ -31,7 +37,7 @@ use crate::sim::engine::{
 use crate::sim::{HotPathProfile, ReportMode, ReschedulePolicy, StreamReport, StreamSimulator};
 use crate::task::TaskGraph;
 use herald_arch::{AcceleratorConfig, AcceleratorStyle, HardwareResources};
-use herald_cost::{CostModel, Metric};
+use herald_cost::Metric;
 use herald_workloads::Scenario;
 use serde::Serialize;
 use std::cell::RefCell;
@@ -52,78 +58,89 @@ pub(crate) struct WalkParams {
     pub(crate) report: ReportMode,
 }
 
-/// Lazily-memoized single-frame service estimates over (configuration,
-/// distinct workload) pairs — the PR-5 surrogate, extended to
-/// configurations that only come into existence mid-run (scaled-up menu
-/// chips, repartition candidates). Rows are created on first sight of a
-/// configuration; cells are scheduled on first read through one shared
-/// [`IncrementalScheduler`], so a repeated query is a memo hit and the
-/// whole structure stays bit-deterministic.
+/// Single-frame service estimates keyed by (distinct workload,
+/// configuration): the one estimate surface of the dispatch walk, the
+/// online controller and the fleet-DSE surrogate. Configurations are
+/// interned by equality on first sight, so identical chips share a row
+/// and a configuration that only comes into existence mid-run (a
+/// scaled-up menu chip, a repartition candidate) simply adds one. A
+/// cell is scheduled on its first read through one
+/// [`IncrementalScheduler`] over the given context; a repeated read is
+/// served from the table, and another estimator over the same context
+/// from the context's schedule memo, so the whole structure stays
+/// bit-deterministic.
 pub(crate) struct Estimator {
     pub(crate) graphs: Vec<TaskGraph>,
     pub(crate) workloads: WorkloadIndex,
     ctx: EvalContext,
     scheduler: IncrementalScheduler,
-    #[allow(clippy::type_complexity)]
-    rows: RefCell<Vec<(AcceleratorConfig, Vec<Option<f64>>)>>,
+    configs: RefCell<Vec<AcceleratorConfig>>,
+    /// `cells[row * graphs.len() + workload]`, NaN until first read.
+    cells: RefCell<Vec<f64>>,
 }
 
 impl Estimator {
-    pub(crate) fn new(scenario: &Scenario, cfg: SchedulerConfig) -> Self {
+    pub(crate) fn new(scenario: &Scenario, cfg: SchedulerConfig, ctx: EvalContext) -> Self {
         let (distinct, workloads) = distinct_workloads(scenario);
         let graphs = distinct.iter().map(|w| TaskGraph::new(w)).collect();
-        let ctx = EvalContext::new();
         let scheduler = IncrementalScheduler::new(HeraldScheduler::new(cfg), ctx.clone());
         Self {
             graphs,
             workloads,
             ctx,
             scheduler,
-            rows: RefCell::new(Vec::new()),
+            configs: RefCell::default(),
+            cells: RefCell::default(),
         }
     }
 
     /// Find-or-insert the estimate row for a configuration.
     pub(crate) fn config_row(&self, config: &AcceleratorConfig) -> usize {
-        let mut rows = self.rows.borrow_mut();
-        if let Some(i) = rows.iter().position(|(c, _)| c == config) {
+        let mut configs = self.configs.borrow_mut();
+        if let Some(i) = configs.iter().position(|c| c == config) {
             return i;
         }
-        rows.push((config.clone(), vec![None; self.graphs.len()]));
-        rows.len() - 1
+        configs.push(config.clone());
+        // Exact growth keeps the table at 8 B per cell, as accounted.
+        let mut cells = self.cells.borrow_mut();
+        let len = cells.len() + self.graphs.len();
+        cells.reserve_exact(self.graphs.len());
+        cells.resize(len, f64::NAN);
+        configs.len() - 1
     }
 
     /// Estimated single-frame service time of distinct workload `widx`
     /// on configuration row `row`, scheduling it on first use.
     pub(crate) fn rate(&self, row: usize, widx: usize) -> Result<f64, HeraldError> {
-        if let Some(v) = self.rows.borrow()[row].1[widx] {
+        let at = row * self.graphs.len() + widx;
+        let v = self.cells.borrow()[at];
+        if !v.is_nan() {
             return Ok(v);
         }
-        let config = self.rows.borrow()[row].0.clone();
         let v = self
             .scheduler
             .schedule_and_simulate_with(
                 &self.graphs[widx],
-                &config,
+                &self.configs.borrow()[row],
                 self.ctx.cost_model(),
                 self.ctx.stats(),
             )?
             .total_latency_s();
-        self.rows.borrow_mut()[row].1[widx] = Some(v);
+        self.cells.borrow_mut()[at] = v;
         Ok(v)
     }
 
-    /// Bytes retained by the workload index and the estimate cells (the
-    /// lazy analogue of the precomputed table), for the walk's
-    /// [`crate::sim::MemProfile`] accounting.
+    /// Configuration rows interned so far.
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> usize {
+        self.configs.borrow().len()
+    }
+
+    /// Bytes retained by the workload index and the estimate cells, for
+    /// the walk's [`crate::sim::MemProfile`] accounting.
     pub(crate) fn memory_bytes(&self) -> u64 {
         self.workloads.memory_bytes()
-            + self
-                .rows
-                .borrow()
-                .iter()
-                .map(|(_, cells)| (cells.capacity() * std::mem::size_of::<Option<f64>>()) as u64)
-                .sum::<u64>()
+            + (self.cells.borrow().capacity() * std::mem::size_of::<f64>()) as u64
     }
 }
 
@@ -150,7 +167,7 @@ struct Segment {
 struct Slot {
     active: bool,
     /// Estimate row of the current configuration (meaningful only when
-    /// the walk runs a lazy [`Estimator`]).
+    /// the walk reads an [`Estimator`]).
     est_row: usize,
     segments: Vec<Segment>,
 }
@@ -196,31 +213,6 @@ impl WindowAcc {
     }
 }
 
-/// Where per-chip service estimates come from during the walk.
-pub(crate) enum Estimates {
-    /// No policy consumes estimates: all zeros (static membership only).
-    None,
-    /// Computed up front over a fixed membership: the fleet simulator's
-    /// table from a plain [`HeraldScheduler`], or one fleet DSE
-    /// candidate's columns of the menu table.
-    Precomputed(ServiceEstimates),
-    /// A live controller may add configurations mid-run, so estimates
-    /// are served lazily per (configuration, workload).
-    Lazy(Estimator),
-}
-
-impl Estimates {
-    /// The per-(stream, version) workload index the estimates are read
-    /// through (`None` when there are none).
-    fn workloads(&self) -> Option<&WorkloadIndex> {
-        match self {
-            Estimates::None => None,
-            Estimates::Precomputed(e) => Some(&e.workloads),
-            Estimates::Lazy(e) => Some(&e.workloads),
-        }
-    }
-}
-
 fn rebuilt_slot_pos(route: &[usize], n_slots: usize) -> Vec<Option<usize>> {
     let mut sp = vec![None; n_slots];
     for (pos, &slot) in route.iter().enumerate() {
@@ -255,7 +247,12 @@ pub(crate) struct Walk {
 }
 
 impl Walk {
-    fn new(fleet: &FleetConfig, est: &Estimates, scenario: &Scenario, controlled: bool) -> Self {
+    fn new(
+        fleet: &FleetConfig,
+        est: Option<&Estimator>,
+        scenario: &Scenario,
+        controlled: bool,
+    ) -> Self {
         let n = fleet.len();
         let num_streams = scenario.streams().len();
         let slots = fleet
@@ -264,10 +261,7 @@ impl Walk {
             .enumerate()
             .map(|(i, c)| Slot {
                 active: true,
-                est_row: match est {
-                    Estimates::Lazy(e) => e.config_row(c),
-                    _ => 0,
-                },
+                est_row: est.map_or(0, |e| e.config_row(c)),
                 segments: vec![Segment {
                     config: c.clone(),
                     label: format!("chip{i}:{}", c.name()),
@@ -288,11 +282,11 @@ impl Walk {
             loads: vec![ChipLoad::default(); n],
             wins: vec![WindowAcc::new(win_streams); n],
             pins: vec![None; num_streams],
-            // One row per stream: the current version's estimate row and
-            // the deadline, so an arrival reads neither a stream spec nor
-            // a nested estimate table.
-            streams: match est.workloads() {
-                Some(index) => index.walk_rows(scenario),
+            // One row per stream: the current version's distinct workload
+            // and the deadline, so an arrival reads neither a stream spec
+            // nor a nested estimate table.
+            streams: match est {
+                Some(e) => e.workloads.walk_rows(scenario),
                 None => scenario
                     .streams()
                     .iter()
@@ -313,10 +307,10 @@ impl Walk {
         &mut self,
         until: f64,
         control: &mut Option<(&ControllerConfig, &mut dyn FleetController)>,
-        est: &Estimates,
+        est: Option<&Estimator>,
         scenario: &Scenario,
     ) -> Result<(), HeraldError> {
-        let (Some((cfg, controller)), Estimates::Lazy(estimator)) = (control, est) else {
+        let (Some((cfg, controller)), Some(estimator)) = (control, est) else {
             return Ok(());
         };
         while (self.epochs + 1) as f64 * cfg.cadence_s <= until {
@@ -574,16 +568,20 @@ impl Walk {
 /// Phase 1, the dispatch walk, over validated inputs (see the module
 /// docs for its three callers). Every arrival of `scenario`, in global
 /// event order, is routed to a chip position by a controller pin or by
-/// `dispatcher`, and is dropped or admitted under `admission`; `control`,
-/// when given, runs its decision rounds at epoch boundaries in time
-/// order with the events and needs [`Estimates::Lazy`]. `on_admit` sees
-/// each admitted frame with its chip position and its predicted finish.
+/// `dispatcher`, and is dropped or admitted under `admission`. Each
+/// arrival reads its workload's estimate on every routable chip from
+/// `est`, which schedules a cell on its first read; with no estimator
+/// no policy reads estimates, every estimate is zero and chip loads
+/// never advance. `control`, when given, runs its decision rounds at
+/// epoch boundaries in time order with the events and needs an
+/// estimator. `on_admit` sees each admitted frame with its chip
+/// position and its predicted finish.
 pub(crate) fn walk(
     fleet: &FleetConfig,
     admission: AdmissionPolicy,
     dispatcher: &mut dyn Dispatcher,
     scenario: &Scenario,
-    est: &Estimates,
+    est: Option<&Estimator>,
     mut control: Option<(&ControllerConfig, &mut dyn FleetController)>,
     mut on_admit: impl FnMut(&FrameView<'_>, usize, f64),
 ) -> Result<Walk, HeraldError> {
@@ -595,8 +593,8 @@ pub(crate) fn walk(
         w.run_boundaries(event.t, &mut control, est, scenario)?;
         let seq = match event.kind {
             EventKind::Swap { .. } => {
-                if let Some(index) = est.workloads() {
-                    w.streams[event.stream].swap(index);
+                if let Some(e) = est {
+                    w.streams[event.stream].swap(&e.workloads);
                 }
                 continue;
             }
@@ -604,9 +602,8 @@ pub(crate) fn walk(
         };
         let row = w.streams[event.stream];
         let est_slice: &[f64] = match est {
-            Estimates::None => &zeros,
-            Estimates::Precomputed(e) => e.row(row.workload),
-            Estimates::Lazy(e) => {
+            None => &zeros,
+            Some(e) => {
                 est_buf.clear();
                 for &slot in &w.route {
                     est_buf.push(e.rate(w.slots[slot].est_row, row.workload as usize)?);
@@ -671,7 +668,7 @@ pub(crate) fn walk(
                 }
             }
         }
-        if !matches!(est, Estimates::None) {
+        if est.is_some() {
             let load = &mut w.loads[pos];
             load.free_at_s = load.free_at_s.max(event.t) + est_slice[pos];
         }
@@ -696,9 +693,11 @@ pub(crate) fn walk(
     Ok(w)
 }
 
-/// The shared fleet run (see the module docs): validation, the service
-/// estimates, phase 1 ([`walk`]) and phase 2, the per-slot segment
-/// simulations. Returns the report beside the merged
+/// The shared fleet run (see the module docs): validation, phase 1
+/// ([`walk`]) and phase 2, the per-slot segment simulations. Phase 1
+/// reads an [`Estimator`] over a fresh context when a controller, the
+/// dispatcher or admission control needs estimates, and the estimator
+/// is dropped before phase 2 starts. Returns the report beside the merged
 /// [`HotPathProfile`] of every per-chip run plus the walk's own byte
 /// accounting (`timed` additionally collects wall-clock phase timers,
 /// phase 1's as `walk_ns`).
@@ -734,37 +733,32 @@ pub(crate) fn simulate_controlled(
     // Controllers that need no telemetry are never polled.
     let control = control.filter(|(_, c)| c.needs_telemetry());
 
-    // Phase 1 (timed as `walk_ns`) starts with the estimate build.
+    // Phase 1, timed as `walk_ns`, schedules each estimate cell on its
+    // first read. The estimator serves this phase only: its byte count
+    // and the distinct graphs that repartition seams invalidate outlive
+    // it, and its context and cells are freed before the chip workers
+    // start.
     let walk_t0 = timed.then(Instant::now);
-    let est = if control.is_some() {
-        Estimates::Lazy(Estimator::new(scenario, params.scheduler))
-    } else if dispatcher.needs_estimates()
-        || !matches!(params.admission, AdmissionPolicy::AcceptAll)
-    {
-        let scheduler = HeraldScheduler::new(params.scheduler);
-        let cost = CostModel::default();
-        Estimates::Precomputed(service_estimates_with(
-            scenario,
-            fleet.chips(),
-            |graph, chip| {
-                Ok(scheduler
-                    .schedule_and_simulate(graph, chip, &cost)?
-                    .total_latency_s())
-            },
-        )?)
-    } else {
-        Estimates::None
-    };
+    let needs_estimates = control.is_some()
+        || dispatcher.needs_estimates()
+        || !matches!(params.admission, AdmissionPolicy::AcceptAll);
+    let est =
+        needs_estimates.then(|| Estimator::new(scenario, params.scheduler, EvalContext::new()));
     let mut w = walk(
         fleet,
         params.admission,
         dispatcher,
         scenario,
-        &est,
+        est.as_ref(),
         control,
         |_, _, _| {},
     )?;
     let walk_ns = walk_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+    let mut walk_mem = crate::sim::MemProfile {
+        estimate_bytes: est.as_ref().map_or(0, Estimator::memory_bytes),
+        ..Default::default()
+    };
+    let inval_graphs: Vec<TaskGraph> = est.map_or_else(Vec::new, |e| e.graphs);
 
     // Phase 2: per-slot workers; each slot replays its segments in
     // order on one private context, invalidating the outgoing
@@ -784,7 +778,6 @@ pub(crate) fn simulate_controlled(
             .map(|s| s.name().to_string())
             .collect(),
     );
-    let mut walk_mem = crate::sim::MemProfile::default();
     let mut labels: Vec<String> = Vec::new();
     let mut flat_of: Vec<Vec<usize>> = Vec::with_capacity(w.slots.len());
     let mut jobs: Vec<Vec<SegJob>> = Vec::with_capacity(w.slots.len());
@@ -806,11 +799,6 @@ pub(crate) fn simulate_controlled(
         flat_of.push(slot_flat);
         jobs.push(slot_jobs);
     }
-    let inval_graphs: &[TaskGraph] = match &est {
-        Estimates::Lazy(e) => &e.graphs,
-        _ => &[],
-    };
-
     fn run_segment(
         params: &WalkParams,
         chip: &AcceleratorConfig,
@@ -883,10 +871,8 @@ pub(crate) fn simulate_controlled(
         let handles: Vec<_> = jobs
             .iter()
             .map(|slot_jobs| {
-                let names = &stream_names;
-                scope.spawn(move || {
-                    run_slot(params, inval_graphs, scenario, names, slot_jobs, timed)
-                })
+                let (names, graphs) = (&stream_names, &inval_graphs);
+                scope.spawn(move || run_slot(params, graphs, scenario, names, slot_jobs, timed))
             })
             .collect();
         handles
@@ -917,11 +903,6 @@ pub(crate) fn simulate_controlled(
     walk_mem.audit_bytes = (assignments.capacity() * std::mem::size_of::<FrameAssignment>()
         + w.dropped.capacity() * std::mem::size_of::<DroppedFrame>())
         as u64;
-    walk_mem.estimate_bytes = match &est {
-        Estimates::None => 0,
-        Estimates::Precomputed(e) => e.memory_bytes(),
-        Estimates::Lazy(e) => e.memory_bytes(),
-    };
     profile.mem.merge(&walk_mem);
     profile.walk_ns = walk_ns;
 
@@ -1279,6 +1260,7 @@ mod tests {
     use crate::controller::ControllerPolicy;
     use crate::fleet::FleetSimulator;
     use herald_arch::{AcceleratorClass, Partition};
+    use herald_cost::CostModel;
     use herald_dataflow::DataflowStyle;
     use herald_models::zoo;
     use herald_workloads::{single_model, StreamSpec};
@@ -1368,9 +1350,10 @@ mod tests {
     #[test]
     fn flat_estimates_equal_direct_replays_per_stream_version_and_chip() {
         // Stream "a" runs four versions (one swap lies past the horizon
-        // and opens none), "b" two; every workload is shared with another
-        // stream or version. Chips 0 and 2 are identical, so the table
-        // copies chip 0's column into chip 2's.
+        // and opens none), "b" and "d" two each. Every workload but d's
+        // second is shared with another stream or version, and no frame
+        // arrives on that one: "d" sends its only frame at 0. Chips 0 and
+        // 2 are identical, so they share one estimate row.
         let v1 = single_model(zoo::mobilenet_v1(), 1);
         let v2 = single_model(zoo::mobilenet_v2(), 1);
         let v1x2 = single_model(zoo::mobilenet_v1(), 2);
@@ -1383,24 +1366,20 @@ mod tests {
                     .swap_at(0.03, v1.clone())
                     .swap_at(0.5, v2.clone()),
             )
-            .stream(StreamSpec::periodic("b", v2, 80.0).swap_at(0.025, v1))
-            .stream(StreamSpec::poisson("c", v1x2, 60.0, 3));
+            .stream(StreamSpec::periodic("b", v2.clone(), 80.0).swap_at(0.025, v1))
+            .stream(StreamSpec::poisson("c", v1x2, 60.0, 3))
+            .stream(
+                StreamSpec::periodic("d", v2, 10.0)
+                    .swap_at(0.045, single_model(zoo::mobilenet_v2(), 2)),
+            );
         let edge = AcceleratorClass::Edge.resources();
         let chips = [
             AcceleratorConfig::fda(DataflowStyle::Nvdla, edge),
             AcceleratorConfig::fda(DataflowStyle::ShiDianNao, edge),
             AcceleratorConfig::fda(DataflowStyle::Nvdla, edge),
         ];
-        let scheduler = HeraldScheduler::default();
-        let cost = CostModel::default();
-        let flat = service_estimates_with(&scenario, &chips, |graph, chip| {
-            Ok(scheduler
-                .schedule_and_simulate(graph, chip, &cost)?
-                .total_latency_s())
-        })
-        .unwrap();
-        let lazy = Estimator::new(&scenario, SchedulerConfig::default());
-        let mut rows = flat.workloads.walk_rows(&scenario);
+        let est = Estimator::new(&scenario, SchedulerConfig::default(), EvalContext::new());
+        let mut rows = est.workloads.walk_rows(&scenario);
         let mut checked = 0;
         for (s, spec) in scenario.streams().iter().enumerate() {
             // The oracle: each version's workload straight from the spec,
@@ -1413,37 +1392,71 @@ mod tests {
             );
             for (k, workload) in versions.enumerate() {
                 if k > 0 {
-                    rows[s].swap(&flat.workloads);
+                    rows[s].swap(&est.workloads);
                 }
-                let w = flat.workloads.workload(s, k);
+                let w = est.workloads.workload(s, k);
                 assert_eq!(rows[s].workload as usize, w, "stream {s} version {k}");
                 assert_eq!(rows[s].deadline(), spec.deadline_s());
-                assert_eq!(lazy.workloads.workload(s, k), w);
                 let graph = TaskGraph::new(workload);
                 for (c, chip) in chips.iter().enumerate() {
                     let direct = HeraldScheduler::default()
                         .schedule_and_simulate(&graph, chip, &CostModel::default())
                         .unwrap()
                         .total_latency_s();
+                    let row = est.config_row(chip);
                     let at = (s, k, c);
-                    assert_eq!(flat.row(w as u32)[c].to_bits(), direct.to_bits(), "{at:?}");
-                    let lazy_row = lazy.config_row(chip);
-                    assert_eq!(lazy.rate(lazy_row, w).unwrap().to_bits(), direct.to_bits());
+                    assert_eq!(
+                        est.rate(row, w).unwrap().to_bits(),
+                        direct.to_bits(),
+                        "{at:?}"
+                    );
                     checked += 1;
                 }
             }
         }
-        assert_eq!(checked, (4 + 2 + 1) * chips.len());
-        // Three distinct workloads: three rows of three chips, and one
-        // index entry per (stream, version).
-        let cols = flat.columns(&[1, 0]);
-        for w in 0..3 {
-            assert_eq!(cols.row(w), [flat.row(w)[1], flat.row(w)[0]]);
-        }
+        assert_eq!(checked, (4 + 2 + 1 + 2) * chips.len());
+        // Four distinct workloads on two distinct configurations: one
+        // index entry per (stream, version), one 8 B cell per pair.
+        assert_eq!(est.rows(), 2);
         assert_eq!(
-            flat.memory_bytes(),
-            ((scenario.streams().len() + 1 + 7) * 4 + 3 * 3 * 8) as u64
+            est.memory_bytes(),
+            ((scenario.streams().len() + 1 + 9) * 4 + 2 * 4 * 8) as u64
         );
+
+        // A walk schedules only the cells it reads. Least-loaded reads
+        // every arrival's workload on every chip, so the scheduler runs
+        // once per (workload some frame arrives on, distinct chip), and
+        // d's second version stays unscheduled. The oracle for the
+        // workloads with arrivals is the simulated frames.
+        let fleet = chips
+            .iter()
+            .fold(FleetConfig::new(), |f, c| f.chip(c.clone()));
+        let ctx = EvalContext::new();
+        let est = Estimator::new(&scenario, SchedulerConfig::default(), ctx.clone());
+        walk(
+            &fleet,
+            AdmissionPolicy::AcceptAll,
+            DispatchPolicy::LeastLoaded.build().as_mut(),
+            &scenario,
+            Some(&est),
+            None,
+            |_, _, _| {},
+        )
+        .unwrap();
+        let served: std::collections::HashSet<String> = FleetSimulator::new(&fleet)
+            .with_dispatcher(DispatchPolicy::LeastLoaded)
+            .simulate(&scenario)
+            .unwrap()
+            .per_chip()
+            .iter()
+            .flat_map(|r| r.frames())
+            .map(|f| f.workload.to_string())
+            .collect();
+        assert_eq!(served.len(), 3, "{served:?}");
+        assert_eq!(est.rows(), 2);
+        assert_eq!(ctx.stats().scheduler_runs(), served.len() as u64 * 2);
+        let unscheduled = est.cells.borrow().iter().filter(|v| v.is_nan()).count();
+        assert_eq!(unscheduled, 2, "d's second version on both configurations");
     }
 
     #[test]

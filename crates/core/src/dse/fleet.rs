@@ -29,14 +29,14 @@
 //! 3. **Dominance pruning** — every remaining candidate gets a cheap
 //!    *predicted* evaluation: the fleet simulator's own dispatch walk
 //!    (backlog model over the exact global arrival trace, service
-//!    estimates memoized in the shared [`EvalContext`] across all
-//!    candidates), reading each admitted frame's predicted finish
-//!    instead of running any per-chip event simulation. Candidates
-//!    whose predicted objective vector is Pareto-dominated by another
-//!    candidate's are skipped; only the predicted frontier is fully
-//!    simulated (in parallel, one `std::thread::scope` worker per
-//!    chunk, each fleet simulation giving every chip its own private
-//!    context). The screening is a standard surrogate heuristic: the
+//!    estimates from one lazy estimator per fusion level that every
+//!    candidate reads, memoized in the shared [`EvalContext`]), reading
+//!    each admitted frame's predicted finish instead of running any
+//!    per-chip event simulation. Candidates whose predicted objective
+//!    vector is Pareto-dominated by another candidate's are skipped;
+//!    only the predicted frontier is fully simulated (in parallel, one
+//!    `std::thread::scope` worker per chunk, each fleet simulation
+//!    giving every chip its own private context). The screening is a standard surrogate heuristic: the
 //!    reported frontier is exact over the simulated survivors.
 //!
 //! The ergonomic entry point is `herald::Experiment::fleet_search` in
@@ -66,16 +66,13 @@
 //! # }
 //! ```
 
-use crate::controller::{walk, Estimates};
+use crate::controller::{walk, Estimator};
 use crate::ctx::EvalContext;
 use crate::dse::map_chunked;
 use crate::error::HeraldError;
-use crate::fleet::{
-    service_estimates_with, AdmissionPolicy, DispatchPolicy, FleetConfig, FleetSimulator,
-    ServiceEstimates,
-};
+use crate::fleet::{AdmissionPolicy, DispatchPolicy, FleetConfig, FleetSimulator};
 use crate::pareto::pareto_frontier_nd;
-use crate::sched::{HeraldScheduler, IncrementalScheduler, Scheduler, SchedulerConfig};
+use crate::sched::SchedulerConfig;
 use crate::sim::engine::{reject_chained, validate_scenario};
 use crate::sim::report::{percentile, QuantileSketch, ReportMode};
 use herald_arch::AcceleratorConfig;
@@ -394,10 +391,21 @@ impl FleetDseEngine {
     /// memo, predicted-vector dominance), fully simulate the survivors
     /// in parallel, and extract the exact Pareto frontier.
     ///
-    /// The context's schedule memo serves every service estimate, so
-    /// each distinct (workload, chip design) pair is scheduled at most
-    /// once across the entire search — and across any other search or
-    /// sweep sharing the same context.
+    /// The screening surrogate reads one service estimator per fusion
+    /// level, keyed by (distinct workload, chip design). A cell is
+    /// scheduled on its first read through the context's schedule memo,
+    /// so each pair that some candidate's walk reads is scheduled at most
+    /// once across the entire search, and across any other search or
+    /// sweep sharing the same context. Candidates read the estimator in
+    /// place.
+    ///
+    /// The estimates are computed under the context's cost model. Full
+    /// simulations deliberately give every chip a private default-model
+    /// context (chip isolation, see [`FleetSimulator`]), so a context
+    /// carrying a *non-default* cost model skews the screening surrogate
+    /// relative to the simulated ground truth — pruning quality degrades,
+    /// but the reported metrics stay exact (they always come from full
+    /// simulations).
     ///
     /// # Errors
     ///
@@ -417,13 +425,7 @@ impl FleetDseEngine {
         self.validate(menu)?;
         validate_scenario(scenario)?;
         reject_chained(scenario, "the fleet dispatch walk")?;
-        // Service estimates are per fusion level: the same chip serves a
-        // frame at a different latency when its scheduler fuses layers.
         let levels = self.config.fusion_sweep();
-        let mut estimates_by_level: Vec<ServiceEstimates> = Vec::with_capacity(levels.len());
-        for &fusion in &levels {
-            estimates_by_level.push(self.menu_estimates(ctx, scenario, menu, fusion)?);
-        }
 
         // Stage 1+2: enumerate compositions within the budget, pair with
         // fusion levels and policies, and drop equivalence-memo twins
@@ -456,7 +458,14 @@ impl FleetDseEngine {
         }
 
         // Stage 3: predicted vectors from the fleet's dispatch walk; only
-        // the predicted Pareto frontier reaches a full simulation.
+        // the predicted Pareto frontier reaches a full simulation. Service
+        // estimates are per fusion level (the same chip serves a frame at
+        // a different latency when its scheduler fuses layers), and the
+        // estimators are freed before the survivors simulate.
+        let estimators: Vec<Estimator> = levels
+            .iter()
+            .map(|&fusion| self.estimator(ctx, scenario, fusion))
+            .collect();
         let mut predicted: Vec<Vec<f64>> = Vec::with_capacity(specs.len());
         for spec in &specs {
             // The spec's fusion level always comes from `levels`, so the
@@ -465,9 +474,10 @@ impl FleetDseEngine {
                 .iter()
                 .position(|&f| f == spec.fusion)
                 .unwrap_or_default();
-            let estimates = &estimates_by_level[li];
-            predicted.push(self.predict(scenario, menu, spec, estimates)?.to_vec());
+            let est = &estimators[li];
+            predicted.push(self.predict(scenario, menu, spec, est)?.to_vec());
         }
+        drop(estimators);
         let survivor_idx = pareto_frontier_nd(&predicted);
         stats.dominance_skips = specs.len() - survivor_idx.len();
         stats.simulated = survivor_idx.len();
@@ -588,43 +598,20 @@ impl FleetDseEngine {
         policy
     }
 
-    /// Estimated single-frame service time of every distinct workload on
-    /// every *menu* chip — [`service_estimates_with`], the same
-    /// deduplication the fleet
-    /// simulator's dispatch walk uses, fed by the shared context's
-    /// memoizing scheduler, so repeats across candidates and searches
-    /// are served from the schedule memo.
-    ///
-    /// The estimates are computed under the context's cost model. Full
-    /// simulations deliberately give every chip a private
-    /// default-model context (chip isolation, see
-    /// [`FleetSimulator`]), so a context carrying a *non-default* cost
-    /// model skews the screening surrogate relative to the simulated
-    /// ground truth — pruning quality degrades, but the reported
-    /// metrics stay exact (they always come from full simulations).
-    fn menu_estimates(
-        &self,
-        ctx: &EvalContext,
-        scenario: &Scenario,
-        menu: &[AcceleratorConfig],
-        fusion: usize,
-    ) -> Result<ServiceEstimates, HeraldError> {
+    /// The surrogate's service estimator at one fusion level, over the
+    /// search's context.
+    fn estimator(&self, ctx: &EvalContext, scenario: &Scenario, fusion: usize) -> Estimator {
         let cfg = SchedulerConfig {
             fusion,
             ..self.config.scheduler
         };
-        let scheduler = IncrementalScheduler::new(HeraldScheduler::new(cfg), ctx.clone());
-        service_estimates_with(scenario, menu, |graph, chip| {
-            Ok(scheduler
-                .schedule_and_simulate_with(graph, chip, ctx.cost_model(), ctx.stats())?
-                .total_latency_s())
-        })
+        Estimator::new(scenario, cfg, ctx.clone())
     }
 
     /// The cheap surrogate evaluation: [`FleetSimulator`]'s phase 1, the
-    /// fleet walk itself, run on this candidate's columns of the menu
-    /// estimates, with each admitted frame's *predicted* completion
-    /// standing in for its simulated one. The walk always gets
+    /// fleet walk itself, reading this fusion level's estimator for the
+    /// candidate's chips, with each admitted frame's *predicted*
+    /// completion standing in for its simulated one. The walk always gets
     /// estimates, so even round-robin candidates keep a predicted
     /// backlog. Returns the predicted objective vector `[-throughput,
     /// p99, miss, area]`.
@@ -633,7 +620,7 @@ impl FleetDseEngine {
         scenario: &Scenario,
         menu: &[AcceleratorConfig],
         spec: &CandidateSpec,
-        estimates: &ServiceEstimates,
+        est: &Estimator,
     ) -> Result<[f64; 4], HeraldError> {
         // Under `Sketch` reporting the surrogate must match the full
         // simulations' memory story: latencies stream through a
@@ -654,7 +641,7 @@ impl FleetDseEngine {
             self.config.admission,
             dispatcher.as_mut(),
             scenario,
-            &Estimates::Precomputed(estimates.columns(&spec.chips)),
+            Some(est),
             None,
             |frame, _, finish| {
                 let latency = finish - frame.arrival_s;
@@ -1003,15 +990,15 @@ mod tests {
         let mut cfg = FleetDseConfig::fast();
         cfg.report = ReportMode::sketch();
         let sketchy = FleetDseEngine::new(cfg);
-        let estimates = exact.menu_estimates(&ctx, &s, &m, 1).unwrap();
+        let est = exact.estimator(&ctx, &s, 1);
         let spec = CandidateSpec {
             chips: vec![0, 1],
             policy: DispatchPolicy::LeastLoaded,
             fusion: 1,
             area_mm2: m[0].area_mm2() + m[1].area_mm2(),
         };
-        let e = exact.predict(&s, &m, &spec, &estimates).unwrap();
-        let k = sketchy.predict(&s, &m, &spec, &estimates).unwrap();
+        let e = exact.predict(&s, &m, &spec, &est).unwrap();
+        let k = sketchy.predict(&s, &m, &spec, &est).unwrap();
         // Throughput, miss rate and area are computed identically in
         // both modes...
         assert_eq!(e[0], k[0]);
@@ -1032,8 +1019,8 @@ mod tests {
     #[test]
     fn surrogate_routing_equals_simulated_routing() {
         // A heterogeneous pair, one mid-horizon swap and deadlines tight
-        // enough to drop frames: the walk on the candidate's menu
-        // estimates must route (and drop) exactly the frames the full
+        // enough to drop frames: the walk on the search's estimator must
+        // route (and drop) exactly the frames the full
         // simulation of that candidate does.
         let m = menu();
         let s = Scenario::new("swap", 0.3)
@@ -1052,9 +1039,7 @@ mod tests {
         let mut cfg = FleetDseConfig::fast();
         cfg.admission = AdmissionPolicy::DeadlineSlack { slack: 1.0 };
         let engine = FleetDseEngine::new(cfg.clone());
-        let estimates = engine
-            .menu_estimates(&EvalContext::new(), &s, &m, 1)
-            .unwrap();
+        let est = engine.estimator(&EvalContext::new(), &s, 1);
         for policy in DispatchPolicy::ALL {
             let spec = CandidateSpec {
                 chips: vec![0, 1],
@@ -1069,7 +1054,7 @@ mod tests {
                 cfg.admission,
                 policy.build().as_mut(),
                 &s,
-                &Estimates::Precomputed(estimates.columns(&spec.chips)),
+                Some(&est),
                 None,
                 |frame, chip, _| routed.push((frame.stream, frame.seq, chip)),
             )

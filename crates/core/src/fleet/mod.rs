@@ -46,6 +46,4 @@ pub use dispatch::{
 };
 pub use report::{DroppedFrame, FleetReport, FrameAssignment};
 pub use sim::FleetSimulator;
-pub(crate) use sim::{
-    distinct_workloads, service_estimates_with, ServiceEstimates, WalkRow, WorkloadIndex,
-};
+pub(crate) use sim::{distinct_workloads, WalkRow, WorkloadIndex};

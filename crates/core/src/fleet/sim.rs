@@ -34,8 +34,6 @@ use crate::fleet::report::FleetReport;
 use crate::fleet::FleetConfig;
 use crate::sched::SchedulerConfig;
 use crate::sim::{HotPathProfile, ReportMode, ReschedulePolicy};
-use crate::task::TaskGraph;
-use herald_arch::AcceleratorConfig;
 use herald_cost::Metric;
 use herald_workloads::{MultiDnnWorkload, Scenario};
 
@@ -217,7 +215,6 @@ impl<'a> FleetSimulator<'a> {
 /// Every stream's workload versions as one flat table of distinct
 /// workload indices: `index[offsets[s]..offsets[s + 1]]` are stream `s`'s
 /// versions in order. Built by [`distinct_workloads`].
-#[derive(Clone)]
 pub(crate) struct WorkloadIndex {
     offsets: Vec<u32>,
     index: Vec<u32>,
@@ -252,8 +249,7 @@ impl WorkloadIndex {
 }
 
 /// One stream's row in a dispatch walk: the distinct workload of its
-/// current version, which is its row of the estimate table, and its
-/// deadline. An arrival reads only this row; a swap moves it to the next
+/// current version, which picks its estimate cells, and its deadline. An arrival reads only this row; a swap moves it to the next
 /// version.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WalkRow {
@@ -289,8 +285,8 @@ impl WalkRow {
     }
 }
 
-/// The one workload-deduplication rule every estimate surface shares:
-/// per stream, the workload versions are the initial workload plus one
+/// The workload-deduplication rule of the service estimator
+/// ([`crate::controller::Estimator`]): per stream, the workload versions are the initial workload plus one
 /// entry per swap inside the horizon (the same filter the single-chip
 /// engine applies to swap events); structurally equal workloads collapse
 /// to a single distinct entry. Returns the distinct workloads and the
@@ -331,88 +327,11 @@ pub(crate) fn distinct_workloads(scenario: &Scenario) -> (Vec<&MultiDnnWorkload>
     (distinct, WorkloadIndex { offsets, index })
 }
 
-/// Single-frame service estimates as one flat table: a row per distinct
-/// workload, a column per chip. [`WalkRow::workload`] picks a stream's
-/// current row.
-pub(crate) struct ServiceEstimates {
-    pub(crate) workloads: WorkloadIndex,
-    chips: usize,
-    /// `table[workload * chips + chip]`.
-    table: Vec<f64>,
-}
-
-impl ServiceEstimates {
-    /// Distinct workload `workload`'s estimate on every chip.
-    pub(crate) fn row(&self, workload: u32) -> &[f64] {
-        let start = workload as usize * self.chips;
-        &self.table[start..start + self.chips]
-    }
-
-    /// The same estimates restricted to (and ordered by) the chip
-    /// columns `chips`: one fleet DSE candidate's view of the menu table.
-    pub(crate) fn columns(&self, chips: &[usize]) -> ServiceEstimates {
-        ServiceEstimates {
-            workloads: self.workloads.clone(),
-            chips: chips.len(),
-            table: self
-                .table
-                .chunks_exact(self.chips)
-                .flat_map(|row| chips.iter().map(move |&c| row[c]))
-                .collect(),
-        }
-    }
-
-    /// Bytes retained by the whole layout: the workload index and the
-    /// estimate table.
-    pub(crate) fn memory_bytes(&self) -> u64 {
-        self.workloads.memory_bytes() + (self.table.capacity() * std::mem::size_of::<f64>()) as u64
-    }
-}
-
-/// Estimated single-frame service time of every distinct workload of the
-/// scenario on every chip — the one deduplication rule shared by the
-/// fleet simulator's dispatch walk and the fleet-DSE screening surrogate,
-/// so the two can never drift apart structurally. Versions are the
-/// stream's initial workload plus one entry per swap inside the horizon
-/// (the same filter the single-chip engine applies to swap events).
-/// Identical chips and structurally equal workloads (e.g. tenants of the
-/// same model) share a single call to `estimate`, which maps one (task
-/// graph, chip) pair to its single-frame latency.
-pub(crate) fn service_estimates_with(
-    scenario: &Scenario,
-    chips: &[AcceleratorConfig],
-    mut estimate: impl FnMut(&TaskGraph, &AcceleratorConfig) -> Result<f64, HeraldError>,
-) -> Result<ServiceEstimates, HeraldError> {
-    let (distinct, workloads) = distinct_workloads(scenario);
-    let chip_canon: Vec<usize> = chips
-        .iter()
-        .enumerate()
-        .map(|(i, c)| chips[..i].iter().position(|p| p == c).unwrap_or(i))
-        .collect();
-    let n = chips.len();
-    let mut table = vec![0.0f64; distinct.len() * n];
-    for (d, workload) in distinct.iter().enumerate() {
-        let graph = TaskGraph::new(workload);
-        for (ci, chip) in chips.iter().enumerate() {
-            table[d * n + ci] = if chip_canon[ci] < ci {
-                table[d * n + chip_canon[ci]]
-            } else {
-                estimate(&graph, chip)?
-            };
-        }
-    }
-    Ok(ServiceEstimates {
-        workloads,
-        chips: n,
-        table,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fleet::dispatch::{ChipLoad, FrameView};
-    use herald_arch::AcceleratorClass;
+    use herald_arch::{AcceleratorClass, AcceleratorConfig};
     use herald_dataflow::DataflowStyle;
     use herald_models::zoo;
     use herald_workloads::{single_model, StreamSpec};
@@ -462,6 +381,32 @@ mod tests {
             .simulate_profiled(&crate::sched::HeraldScheduler::default(), &scenario)
             .unwrap();
         assert_eq!(chip.walk_ns, 0, "a single-chip run has no walk");
+    }
+
+    #[test]
+    fn estimate_bytes_are_the_index_and_the_cells_a_walk_reads() {
+        // Round-robin without admission control reads no estimate, so no
+        // estimator is built. A load-aware walk keeps the workload index,
+        // (streams + 1) offsets and one entry per version, and one 8 B
+        // cell per (distinct configuration, distinct workload).
+        let fleet = FleetConfig::homogeneous(&fda(DataflowStyle::Nvdla), 2);
+        let scenario = bursty_scenario(5);
+        let estimate_bytes = |policy| {
+            FleetSimulator::new(&fleet)
+                .with_dispatcher(policy)
+                .simulate_profiled(&scenario)
+                .unwrap()
+                .1
+                .mem
+                .estimate_bytes
+        };
+        assert_eq!(estimate_bytes(DispatchPolicy::RoundRobin), 0);
+        let index = (scenario.streams().len() + 1 + 2) * 4;
+        let cells = 2 * 8;
+        assert_eq!(
+            estimate_bytes(DispatchPolicy::LeastLoaded),
+            (index + cells) as u64
+        );
     }
 
     /// 40 tenants on five shared workloads, deadlines tight enough that
