@@ -212,14 +212,6 @@ fn main() -> Result<(), HeraldError> {
     let sketch_again = small_run(ReportMode::sketch())?;
     let repeat_identical = *sketch_again.report() == *sketch_small.report();
     assert!(repeat_identical, "sketch runs must be repeat-identical");
-    // The profiled facade entry point returns the same report.
-    let (exact_profiled, _) = Experiment::new(small.design_workload())
-        .dispatcher(DispatchPolicy::LeastLoaded)
-        .fleet_profiled(&small_fleet, &small)?;
-    assert!(
-        *exact_profiled.report() == *exact_small.report(),
-        "profiled fleet runs must be bit-identical to unprofiled ones"
-    );
     assert_eq!(
         exact_small.report().frames_total(),
         sketch_small.report().frames_total()
@@ -286,11 +278,10 @@ fn main() -> Result<(), HeraldError> {
                 "tracked_total_reduction_x": tracked_reduction_x,
                 "reduction_gate_x": REDUCTION_GATE_X,
                 "passes_reduction_gate": reduction_x >= REDUCTION_GATE_X,
-                // Throughput is wall-clock derived and the compile
-                // counters are engine bookkeeping, so they live under a
-                // key the golden differ skips. The streaming run builds
-                // one cost table per workload per chip, so the two
-                // counters match.
+                // The golden differ skips the wall-clock throughputs
+                // (`*_per_second`) and compares the compile counters. The
+                // streaming run builds one cost table per workload per
+                // chip, so the two counters match.
                 "profile": serde_json::json!({
                     "baseline_events_per_second": baseline.events_per_second(),
                     "streaming_events_per_second": streaming.events_per_second(),

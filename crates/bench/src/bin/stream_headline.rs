@@ -293,10 +293,11 @@ fn main() -> Result<(), HeraldError> {
             }),
             "scenarios": serde_json::Value::Seq(scenarios_json),
             // The hot-path profile section (always emitted; the golden
-            // differ skips it wholesale like wall-clock keys):
-            // `aggregate` sums every HDA incremental run, `warm_rerun`
-            // is the shared-context second pass whose compiles are
-            // served via the fingerprint fast path.
+            // differ compares its work counters and skips its `*_ns`
+            // timers and `mem` bytes): `aggregate` sums every HDA
+            // incremental run, `warm_rerun` is the shared-context second
+            // pass whose compiles are served via the fingerprint fast
+            // path.
             "profile": serde_json::json!({
                 "aggregate": aggregate.to_value(),
                 "warm_rerun": warm_profile.to_value(),

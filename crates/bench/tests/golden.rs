@@ -15,8 +15,11 @@
 //! moved.
 //!
 //! Comparison rules:
-//! * timing-dependent fields (`wall_clock_s`, `events_per_second`, and
-//!   the per-wall-second rates derived from them) are skipped;
+//! * wall-clock fields (keys ending in `_ns` or `_per_second`, or
+//!   starting with `wall_clock_`) and the byte accounting (`mem`,
+//!   `mem_profile`) are skipped; everything else, including the
+//!   hot-path `profile` counters (events, admission batches, commits,
+//!   selections, head scans), is compared;
 //! * floats use a tight relative tolerance (1e-9) — wide enough for a
 //!   last-ulp libm difference across platforms, far too tight for any
 //!   real behavioral change to hide in;
@@ -36,20 +39,20 @@
 use serde_json::Value;
 use std::process::Command;
 
-/// Fields whose values depend on wall-clock time, not on simulation
-/// results — plus the hot-path `profile` section, which travels beside
-/// the simulation results (its per-phase timers are wall-clock, and its
-/// counters are already regression-gated by the engine's own tests),
-/// and the `mem_profile` byte accounting, whose capacity sums track the
+/// Whether the differ skips a key: wall-clock values (the `*_ns` phase
+/// timers, `*_per_second` rates and `wall_clock_*` times), and the `mem`
+/// and `mem_profile` byte accounting, whose capacity sums track the
 /// allocator's growth policy rather than simulation results (the
-/// `megafleet_headline` bin gates the ratios that matter).
-const TIMING_KEYS: [&str; 5] = [
-    "wall_clock_s",
-    "events_per_second",
-    "wall_clock_ms",
-    "profile",
-    "mem_profile",
-];
+/// `megafleet_headline` bin gates the ratios that matter). The hot-path
+/// counters beside them are deterministic and compared, so a change to
+/// batching or commit work fails the suite until it is reviewed.
+fn skipped(key: &str) -> bool {
+    key.ends_with("_ns")
+        || key.ends_with("_per_second")
+        || key.starts_with("wall_clock_")
+        || key == "mem"
+        || key == "mem_profile"
+}
 
 /// Relative tolerance for float comparisons (see module docs).
 const REL_TOL: f64 = 1e-9;
@@ -82,7 +85,7 @@ fn diff(path: &str, golden: &Value, actual: &Value, diffs: &mut Vec<String>) {
     match (golden, actual) {
         (Value::Map(g), Value::Map(a)) => {
             for (key, gv) in g {
-                if TIMING_KEYS.contains(&key.as_str()) {
+                if skipped(key) {
                     continue;
                 }
                 match a.iter().find(|(k, _)| k == key) {
@@ -91,7 +94,7 @@ fn diff(path: &str, golden: &Value, actual: &Value, diffs: &mut Vec<String>) {
                 }
             }
             for (key, _) in a {
-                if !TIMING_KEYS.contains(&key.as_str()) && !g.iter().any(|(k, _)| k == key) {
+                if !skipped(key) && !g.iter().any(|(k, _)| k == key) {
                     diffs.push(format!("{path}.{key}: not present in golden file"));
                 }
             }
@@ -212,22 +215,30 @@ fn the_differ_itself_catches_drift() {
     // The suite is only as good as its differ: a moved number, a
     // missing key and a changed string must all surface with paths,
     // while timing keys and last-ulp float noise must not.
-    let golden =
-        Value::parse_json(r#"{"a": 1, "b": {"wall_clock_s": 5.0, "x": [1.0, 2.0]}, "s": "hda"}"#)
-            .unwrap();
+    let golden = Value::parse_json(
+        r#"{"a": 1, "b": {"wall_clock_s": 5.0, "x": [1.0, 2.0]}, "s": "hda",
+            "profile": {"commits": 7, "run_ns": 3, "mem": {"span_bytes": 64}}}"#,
+    )
+    .unwrap();
     let same = Value::parse_json(
-        r#"{"a": 1, "b": {"wall_clock_s": 99.0, "x": [1.0000000000000002, 2.0]}, "s": "hda"}"#,
+        r#"{"a": 1, "b": {"wall_clock_s": 99.0, "x": [1.0000000000000002, 2.0]}, "s": "hda",
+            "profile": {"commits": 7, "run_ns": 9, "events_per_second": 2.0}}"#,
     )
     .unwrap();
     let mut diffs = Vec::new();
     diff("$", &golden, &same, &mut diffs);
     assert!(diffs.is_empty(), "{diffs:?}");
 
-    let drifted = Value::parse_json(r#"{"a": 2, "b": {"x": [1.0, 2.1]}, "s": "fda"}"#).unwrap();
+    let drifted = Value::parse_json(
+        r#"{"a": 2, "b": {"x": [1.0, 2.1]}, "s": "fda", "profile": {"commits": 8}}"#,
+    )
+    .unwrap();
     let mut diffs = Vec::new();
     diff("$", &golden, &drifted, &mut diffs);
     let rendered = diffs.join("\n");
     assert!(rendered.contains("$.a"), "{rendered}");
     assert!(rendered.contains("$.b.x[1]"), "{rendered}");
     assert!(rendered.contains("$.s"), "{rendered}");
+    assert!(rendered.contains("$.profile.commits"), "{rendered}");
+    assert_eq!(diffs.len(), 4, "{rendered}");
 }

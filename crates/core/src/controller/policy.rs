@@ -458,7 +458,7 @@ mod tests {
     use crate::controller::{ActionCosts, ChipStatus, ChipTelemetry, ControlView};
     use crate::ctx::EvalContext;
     use crate::fleet::WalkRow;
-    use crate::sched::SchedulerConfig;
+    use crate::sched::HeraldScheduler;
     use herald_arch::AcceleratorClass;
     use herald_dataflow::DataflowStyle;
     use herald_models::zoo;
@@ -522,7 +522,8 @@ mod tests {
     #[test]
     fn autoscaler_scales_on_band_crossings_with_cooldown() {
         let scenario = two_stream_scenario();
-        let est = Estimator::new(&scenario, SchedulerConfig::default(), EvalContext::new());
+        let scheduler = Box::new(HeraldScheduler::default());
+        let est = Estimator::new(&scenario, scheduler, EvalContext::new());
         let streams = est.workloads.walk_rows(&scenario);
         let pins = vec![None; 2];
         let view = view_fixture(&est, &streams, &pins, Vec::new());
@@ -555,7 +556,8 @@ mod tests {
     #[test]
     fn autoscaler_mid_band_resets_sustain_streaks() {
         let scenario = two_stream_scenario();
-        let est = Estimator::new(&scenario, SchedulerConfig::default(), EvalContext::new());
+        let scheduler = Box::new(HeraldScheduler::default());
+        let est = Estimator::new(&scenario, scheduler, EvalContext::new());
         let streams = est.workloads.walk_rows(&scenario);
         let pins = vec![None; 2];
         let view = view_fixture(&est, &streams, &pins, Vec::new());
@@ -574,7 +576,8 @@ mod tests {
     #[test]
     fn repartitioner_is_deterministic_quiet_in_band_and_cost_aware() {
         let scenario = two_stream_scenario();
-        let est = Estimator::new(&scenario, SchedulerConfig::default(), EvalContext::new());
+        let scheduler = Box::new(HeraldScheduler::default());
+        let est = Estimator::new(&scenario, scheduler, EvalContext::new());
         let streams = est.workloads.walk_rows(&scenario);
         let pins = vec![None; 2];
         let probe =
@@ -647,7 +650,7 @@ mod tests {
     fn view_estimates_price_a_configuration_outside_the_fleet_once() {
         let scenario = two_stream_scenario();
         let ctx = EvalContext::new();
-        let est = Estimator::new(&scenario, SchedulerConfig::default(), ctx.clone());
+        let est = Estimator::new(&scenario, Box::new(HeraldScheduler::default()), ctx.clone());
         let streams = est.workloads.walk_rows(&scenario);
         let pins = vec![None; 2];
         let edge = AcceleratorClass::Edge.resources();

@@ -47,9 +47,11 @@ use std::time::Instant;
 #[cfg(doc)]
 use crate::controller::StaticController;
 
-/// The per-chip simulation knobs the walk carries into phase 2 — the
-/// same four the uncontrolled [`crate::fleet::FleetSimulator`] holds.
-#[derive(Debug, Clone, Copy)]
+/// The run knobs a fleet simulator ([`crate::fleet::FleetSimulator`],
+/// [`ControlledFleetSimulator`]) holds: the admission policy the walk
+/// applies and the per-chip simulation knobs it carries into phase 2.
+/// The defaults are the simulators' defaults.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct WalkParams {
     pub(crate) scheduler: SchedulerConfig,
     pub(crate) metric: Metric,
@@ -64,26 +66,32 @@ pub(crate) struct WalkParams {
 /// interned by equality on first sight, so identical chips share a row
 /// and a configuration that only comes into existence mid-run (a
 /// scaled-up menu chip, a repartition candidate) simply adds one. A
-/// cell is scheduled on its first read through one
-/// [`IncrementalScheduler`] over the given context; a repeated read is
-/// served from the table, and another estimator over the same context
-/// from the context's schedule memo, so the whole structure stays
+/// cell is scheduled on its first read through the caller's scheduler,
+/// with the given context's cost model and counters; a repeated read is
+/// served from the table. A fleet run passes a bare
+/// [`HeraldScheduler`], since it reads each cell's schedule once; the
+/// fleet DSE passes an [`IncrementalScheduler`] over its search context,
+/// so another estimator over that context is served from the context's
+/// schedule memo. Either way the whole structure stays
 /// bit-deterministic.
 pub(crate) struct Estimator {
     pub(crate) graphs: Vec<TaskGraph>,
     pub(crate) workloads: WorkloadIndex,
     ctx: EvalContext,
-    scheduler: IncrementalScheduler,
+    scheduler: Box<dyn Scheduler>,
     configs: RefCell<Vec<AcceleratorConfig>>,
     /// `cells[row * graphs.len() + workload]`, NaN until first read.
     cells: RefCell<Vec<f64>>,
 }
 
 impl Estimator {
-    pub(crate) fn new(scenario: &Scenario, cfg: SchedulerConfig, ctx: EvalContext) -> Self {
+    pub(crate) fn new(
+        scenario: &Scenario,
+        scheduler: Box<dyn Scheduler>,
+        ctx: EvalContext,
+    ) -> Self {
         let (distinct, workloads) = distinct_workloads(scenario);
         let graphs = distinct.iter().map(|w| TaskGraph::new(w)).collect();
-        let scheduler = IncrementalScheduler::new(HeraldScheduler::new(cfg), ctx.clone());
         Self {
             graphs,
             workloads,
@@ -158,9 +166,12 @@ struct Segment {
     /// (see [`RoutedScenario`]) without per-stream vectors.
     arrivals: Vec<(f64, u32)>,
     /// Index into the event log of the repartition that opened this
-    /// segment (`None` for a slot's first segment), used to patch
-    /// `memos_invalidated` after phase 2.
+    /// segment (`None` for a slot's first segment), whose
+    /// `memos_invalidated` the collector sets after phase 2.
     repart_event: Option<usize>,
+    /// Schedule memos of the previous configuration that phase 2
+    /// invalidated at this segment's seam.
+    memos_invalidated: usize,
 }
 
 /// One stable chip identity across the run.
@@ -267,6 +278,7 @@ impl Walk {
                     label: format!("chip{i}:{}", c.name()),
                     arrivals: Vec::new(),
                     repart_event: None,
+                    memos_invalidated: 0,
                 }],
             })
             .collect();
@@ -433,6 +445,7 @@ impl Walk {
                                     label: label.clone(),
                                     arrivals: Vec::new(),
                                     repart_event: None,
+                                    memos_invalidated: 0,
                                 }],
                             });
                             self.route.push(slot);
@@ -546,6 +559,7 @@ impl Walk {
                                     label: label.clone(),
                                     arrivals: Vec::new(),
                                     repart_event: Some(self.events.len()),
+                                    memos_invalidated: 0,
                                 });
                                 let load = &mut self.loads[pos];
                                 load.free_at_s = load.free_at_s.max(t_k) + cfg.repartition_cost_s;
@@ -733,17 +747,20 @@ pub(crate) fn simulate_controlled(
     // Controllers that need no telemetry are never polled.
     let control = control.filter(|(_, c)| c.needs_telemetry());
 
-    // Phase 1, timed as `walk_ns`, schedules each estimate cell on its
-    // first read. The estimator serves this phase only: its byte count
-    // and the distinct graphs that repartition seams invalidate outlive
-    // it, and its context and cells are freed before the chip workers
-    // start.
+    // Phase 1, timed as `walk_ns`: the walk is the run's trace source and
+    // admission stage. It schedules each estimate cell on its first read.
+    // The estimator serves this phase only: its byte count and the
+    // distinct graphs that repartition seams invalidate outlive it, and
+    // its context and cells are freed before the chip workers start. No
+    // cell is scheduled twice, so it schedules without a memo.
     let walk_t0 = timed.then(Instant::now);
     let needs_estimates = control.is_some()
         || dispatcher.needs_estimates()
         || !matches!(params.admission, AdmissionPolicy::AcceptAll);
-    let est =
-        needs_estimates.then(|| Estimator::new(scenario, params.scheduler, EvalContext::new()));
+    let est = needs_estimates.then(|| {
+        let scheduler = Box::new(HeraldScheduler::new(params.scheduler));
+        Estimator::new(scenario, scheduler, EvalContext::new())
+    });
     let mut w = walk(
         fleet,
         params.admission,
@@ -753,24 +770,15 @@ pub(crate) fn simulate_controlled(
         control,
         |_, _, _| {},
     )?;
-    let walk_ns = walk_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-    let mut walk_mem = crate::sim::MemProfile {
-        estimate_bytes: est.as_ref().map_or(0, Estimator::memory_bytes),
+    let mut profile = HotPathProfile {
+        walk_ns: walk_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64),
         ..Default::default()
     };
+    profile.mem.estimate_bytes = est.as_ref().map_or(0, Estimator::memory_bytes);
     let inval_graphs: Vec<TaskGraph> = est.map_or_else(Vec::new, |e| e.graphs);
 
-    // Phase 2: per-slot workers; each slot replays its segments in
-    // order on one private context, invalidating the outgoing
-    // configuration's schedule memos at every repartition seam. Each
-    // segment replays as a [`RoutedScenario`] — its flat routed arrival
-    // list over the *original* stream table — instead of materializing
-    // a per-stream `Trace` sub-`Scenario` per segment.
-    struct SegJob {
-        config: AcceleratorConfig,
-        arrivals: Vec<(f64, u32)>,
-        repart_event: Option<usize>,
-    }
+    // Phase 2, the commit stage: one worker per slot replays the slot's
+    // segments in place (see [`replay_slot`]).
     let stream_names: Arc<Vec<String>> = Arc::new(
         scenario
             .streams()
@@ -778,101 +786,20 @@ pub(crate) fn simulate_controlled(
             .map(|s| s.name().to_string())
             .collect(),
     );
-    let mut labels: Vec<String> = Vec::new();
-    let mut flat_of: Vec<Vec<usize>> = Vec::with_capacity(w.slots.len());
-    let mut jobs: Vec<Vec<SegJob>> = Vec::with_capacity(w.slots.len());
-    for slot in &mut w.slots {
-        let mut slot_flat = Vec::with_capacity(slot.segments.len());
-        let mut slot_jobs = Vec::with_capacity(slot.segments.len());
-        for seg in &mut slot.segments {
-            slot_flat.push(labels.len());
-            labels.push(seg.label.clone());
-            let arrivals = std::mem::take(&mut seg.arrivals);
-            walk_mem.trace_bytes +=
-                (arrivals.capacity() * std::mem::size_of::<(f64, u32)>()) as u64;
-            slot_jobs.push(SegJob {
-                config: seg.config.clone(),
-                arrivals,
-                repart_event: seg.repart_event,
-            });
-        }
-        flat_of.push(slot_flat);
-        jobs.push(slot_jobs);
-    }
-    fn run_segment(
-        params: &WalkParams,
-        chip: &AcceleratorConfig,
-        routed: &RoutedScenario<'_>,
-        ctx: &EvalContext,
-        timed: bool,
-    ) -> Result<(StreamReport, HotPathProfile), HeraldError> {
-        let sim = StreamSimulator::new(chip, ctx.cost_model())
-            .with_metric(params.metric)
-            .with_policy(params.reschedule)
-            .with_report_mode(params.report)
-            .with_context(ctx);
-        match params.reschedule {
-            ReschedulePolicy::Incremental => {
-                let inc =
-                    IncrementalScheduler::new(HeraldScheduler::new(params.scheduler), ctx.clone());
-                sim.run_routed(&inc, routed, timed)
-            }
-            ReschedulePolicy::FullReschedule => {
-                sim.run_routed(&HeraldScheduler::new(params.scheduler), routed, timed)
-            }
-        }
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn run_slot(
-        params: &WalkParams,
-        graphs: &[TaskGraph],
-        scenario: &Scenario,
-        stream_names: &Arc<Vec<String>>,
-        jobs: &[SegJob],
-        timed: bool,
-    ) -> Result<(Vec<StreamReport>, HotPathProfile, Vec<(usize, usize)>), HeraldError> {
-        let ctx = EvalContext::new();
-        let mut reports = Vec::with_capacity(jobs.len());
-        let mut profile = HotPathProfile::default();
-        let mut patches = Vec::new();
-        for (k, job) in jobs.iter().enumerate() {
-            if k > 0 {
-                // Repartition seam: drop exactly this chip's memos for
-                // the outgoing configuration before the new one runs.
-                let old = &jobs[k - 1].config;
-                let mut invalidated = 0usize;
-                for graph in graphs {
-                    let key = ScheduleKey::new(graph, old, &params.scheduler, ctx.cost_model());
-                    if ctx.schedules().invalidate(&key) {
-                        invalidated += 1;
-                    }
-                }
-                if let Some(ev) = job.repart_event {
-                    patches.push((ev, invalidated));
-                }
-            }
-            let routed = RoutedScenario {
-                name: scenario.name(),
-                horizon_s: scenario.horizon_s(),
-                streams: scenario.streams(),
-                stream_names: Arc::clone(stream_names),
-                arrivals: &job.arrivals,
-            };
-            let (report, seg_profile) = run_segment(params, &job.config, &routed, &ctx, timed)?;
-            profile.merge(&seg_profile);
-            reports.push(report);
-        }
-        Ok((reports, profile, patches))
-    }
-
-    type SlotResult = Result<(Vec<StreamReport>, HotPathProfile, Vec<(usize, usize)>), HeraldError>;
-    let gathered: Vec<SlotResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .iter()
-            .map(|slot_jobs| {
-                let (names, graphs) = (&stream_names, &inval_graphs);
-                scope.spawn(move || run_slot(params, graphs, scenario, names, slot_jobs, timed))
+    let base = RoutedScenario {
+        name: scenario.name(),
+        horizon_s: scenario.horizon_s(),
+        streams: scenario.streams(),
+        stream_names: &stream_names,
+        arrivals: &[],
+    };
+    let runs: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = w
+            .slots
+            .iter_mut()
+            .map(|slot| {
+                let (base, graphs) = (&base, &inval_graphs);
+                scope.spawn(move || replay_slot(params, graphs, base, &mut slot.segments, timed))
             })
             .collect();
         handles
@@ -880,14 +807,23 @@ pub(crate) fn simulate_controlled(
             .map(|h| h.join().map_err(worker_panic_error).and_then(|r| r))
             .collect()
     });
-    let mut per_chip: Vec<StreamReport> = Vec::with_capacity(labels.len());
-    let mut profile = HotPathProfile::default();
-    for slot_result in gathered {
-        let (reports, slot_profile, patches) = slot_result?;
+
+    // The collector: chip reports in slot order, then segment order, so a
+    // slot's first chip index is the count of the segments before it.
+    let (mut per_chip, mut chip_names) = (Vec::new(), Vec::new());
+    let mut first_chip = Vec::with_capacity(w.slots.len());
+    for (slot, run) in w.slots.into_iter().zip(runs) {
+        let (reports, slot_profile) = run?;
+        first_chip.push(per_chip.len());
         per_chip.extend(reports);
         profile.merge(&slot_profile);
-        for (ev, count) in patches {
-            w.events[ev].memos_invalidated = count;
+        for seg in slot.segments {
+            profile.mem.trace_bytes +=
+                (seg.arrivals.capacity() * std::mem::size_of::<(f64, u32)>()) as u64;
+            if let Some(ev) = seg.repart_event {
+                w.events[ev].memos_invalidated = seg.memos_invalidated;
+            }
+            chip_names.push(seg.label);
         }
     }
     let assignments: Vec<FrameAssignment> = w
@@ -897,35 +833,86 @@ pub(crate) fn simulate_controlled(
             stream,
             seq,
             arrival_s,
-            chip: flat_of[slot][seg],
+            chip: first_chip[slot] + seg,
         })
         .collect();
-    walk_mem.audit_bytes = (assignments.capacity() * std::mem::size_of::<FrameAssignment>()
+    profile.mem.audit_bytes += (assignments.capacity() * std::mem::size_of::<FrameAssignment>()
         + w.dropped.capacity() * std::mem::size_of::<DroppedFrame>())
         as u64;
-    profile.mem.merge(&walk_mem);
-    profile.walk_ns = walk_ns;
-
+    debug_assert!(w.dropped.is_empty() || w.dropped.len() == w.dropped_total);
+    let fleet = FleetReport {
+        scenario: scenario.name().to_string(),
+        policy: dispatcher.name().to_string(),
+        chip_names,
+        stream_names,
+        horizon_s: scenario.horizon_s(),
+        per_chip,
+        assignments,
+        dropped: w.dropped,
+        dropped_total: w.dropped_total,
+    };
     Ok((
         ControlledFleetReport {
             controller: controller_name,
             cadence_s: cadence,
             epochs: w.epochs,
             events: w.events,
-            fleet: FleetReport::new(
-                scenario.name().to_string(),
-                dispatcher.name().to_string(),
-                labels,
-                stream_names,
-                scenario.horizon_s(),
-                per_chip,
-                assignments,
-                w.dropped,
-                w.dropped_total,
-            ),
+            fleet,
         },
         profile,
     ))
+}
+
+/// Phase 2's commit stage for one slot: replays its segments in order on
+/// one private context, each as a [`RoutedScenario`] (the segment's flat
+/// routed arrival list over the scenario's stream table) instead of a
+/// per-stream `Trace` sub-`Scenario`. At every repartition seam it first
+/// invalidates the outgoing configuration's schedule memos and records
+/// how many in the incoming segment.
+fn replay_slot(
+    params: &WalkParams,
+    graphs: &[TaskGraph],
+    base: &RoutedScenario<'_>,
+    segments: &mut [Segment],
+    timed: bool,
+) -> Result<(Vec<StreamReport>, HotPathProfile), HeraldError> {
+    let ctx = EvalContext::new();
+    let mut reports = Vec::with_capacity(segments.len());
+    let mut profile = HotPathProfile::default();
+    for k in 0..segments.len() {
+        if k > 0 {
+            let old = &segments[k - 1].config;
+            let invalidated = graphs
+                .iter()
+                .filter(|graph| {
+                    let key = ScheduleKey::new(graph, old, &params.scheduler, ctx.cost_model());
+                    ctx.schedules().invalidate(&key)
+                })
+                .count();
+            segments[k].memos_invalidated = invalidated;
+        }
+        let seg = &segments[k];
+        let routed = RoutedScenario {
+            arrivals: &seg.arrivals,
+            ..*base
+        };
+        let sim = StreamSimulator::new(&seg.config, ctx.cost_model())
+            .with_metric(params.metric)
+            .with_policy(params.reschedule)
+            .with_report_mode(params.report)
+            .with_context(&ctx);
+        let scheduler = HeraldScheduler::new(params.scheduler);
+        let (report, seg_profile) = match params.reschedule {
+            ReschedulePolicy::Incremental => {
+                let inc = IncrementalScheduler::new(scheduler, ctx.clone());
+                sim.run_routed(&inc, &routed, timed)?
+            }
+            ReschedulePolicy::FullReschedule => sim.run_routed(&scheduler, &routed, timed)?,
+        };
+        profile.merge(&seg_profile);
+        reports.push(report);
+    }
+    Ok((reports, profile))
 }
 
 /// One window of the fleet-wide deadline-miss timeline (the transient
@@ -1111,12 +1098,8 @@ impl ControlledFleetReport {
 pub struct ControlledFleetSimulator<'a> {
     fleet: &'a FleetConfig,
     control: &'a ControllerConfig,
-    scheduler: SchedulerConfig,
-    metric: Metric,
-    reschedule: ReschedulePolicy,
+    params: WalkParams,
     dispatcher: DispatchPolicy,
-    admission: AdmissionPolicy,
-    report: ReportMode,
 }
 
 impl<'a> ControlledFleetSimulator<'a> {
@@ -1126,12 +1109,8 @@ impl<'a> ControlledFleetSimulator<'a> {
         Self {
             fleet,
             control,
-            scheduler: SchedulerConfig::default(),
-            metric: Metric::Edp,
-            reschedule: ReschedulePolicy::default(),
+            params: WalkParams::default(),
             dispatcher: DispatchPolicy::default(),
-            admission: AdmissionPolicy::default(),
-            report: ReportMode::Exact,
         }
     }
 
@@ -1140,14 +1119,14 @@ impl<'a> ControlledFleetSimulator<'a> {
     /// metrics merge per-chip sketches exactly.
     #[must_use]
     pub fn with_report_mode(mut self, report: ReportMode) -> Self {
-        self.report = report;
+        self.params.report = report;
         self
     }
 
     /// Overrides the per-chip online scheduler configuration.
     #[must_use]
     pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
-        self.scheduler = scheduler;
+        self.params.scheduler = scheduler;
         self
     }
 
@@ -1155,7 +1134,7 @@ impl<'a> ControlledFleetSimulator<'a> {
     /// picks its per-layer dataflow.
     #[must_use]
     pub fn with_metric(mut self, metric: Metric) -> Self {
-        self.metric = metric;
+        self.params.metric = metric;
         self
     }
 
@@ -1163,7 +1142,7 @@ impl<'a> ControlledFleetSimulator<'a> {
     /// default).
     #[must_use]
     pub fn with_policy(mut self, policy: ReschedulePolicy) -> Self {
-        self.reschedule = policy;
+        self.params.reschedule = policy;
         self
     }
 
@@ -1177,7 +1156,7 @@ impl<'a> ControlledFleetSimulator<'a> {
     /// Sets the admission policy (accept-all by default).
     #[must_use]
     pub fn with_admission(mut self, admission: AdmissionPolicy) -> Self {
-        self.admission = admission;
+        self.params.admission = admission;
         self
     }
 
@@ -1211,22 +1190,12 @@ impl<'a> ControlledFleetSimulator<'a> {
         let mut controller = self.control.policy.build();
         simulate_controlled(
             self.fleet,
-            &self.params(),
+            &self.params,
             dispatcher.as_mut(),
             scenario,
             Some((self.control, controller.as_mut())),
             true,
         )
-    }
-
-    fn params(&self) -> WalkParams {
-        WalkParams {
-            scheduler: self.scheduler,
-            metric: self.metric,
-            reschedule: self.reschedule,
-            admission: self.admission,
-            report: self.report,
-        }
     }
 
     /// Like [`ControlledFleetSimulator::simulate`] with caller-provided
@@ -1244,7 +1213,7 @@ impl<'a> ControlledFleetSimulator<'a> {
     ) -> Result<ControlledFleetReport, HeraldError> {
         simulate_controlled(
             self.fleet,
-            &self.params(),
+            &self.params,
             dispatcher,
             scenario,
             Some((self.control, controller)),
@@ -1378,7 +1347,8 @@ mod tests {
             AcceleratorConfig::fda(DataflowStyle::ShiDianNao, edge),
             AcceleratorConfig::fda(DataflowStyle::Nvdla, edge),
         ];
-        let est = Estimator::new(&scenario, SchedulerConfig::default(), EvalContext::new());
+        let scheduler = Box::new(HeraldScheduler::default());
+        let est = Estimator::new(&scenario, scheduler, EvalContext::new());
         let mut rows = est.workloads.walk_rows(&scenario);
         let mut checked = 0;
         for (s, spec) in scenario.streams().iter().enumerate() {
@@ -1432,7 +1402,7 @@ mod tests {
             .iter()
             .fold(FleetConfig::new(), |f, c| f.chip(c.clone()));
         let ctx = EvalContext::new();
-        let est = Estimator::new(&scenario, SchedulerConfig::default(), ctx.clone());
+        let est = Estimator::new(&scenario, Box::new(HeraldScheduler::default()), ctx.clone());
         walk(
             &fleet,
             AdmissionPolicy::AcceptAll,
@@ -1730,6 +1700,53 @@ mod tests {
         assert_eq!(a, b, "a controlled run is a pure function of its inputs");
         assert_eq!(a.controller(), "threshold-autoscaler");
         assert!(a.epochs() > 0);
+    }
+
+    #[test]
+    fn timers_never_change_the_work() {
+        // Two HDA chips under the repartitioner, which re-splits a chip
+        // mid-run: the untimed run does the timed run's work, counter
+        // for counter, walk and seams included, and reports the same.
+        let res = AcceleratorClass::Edge.resources();
+        let chip =
+            AcceleratorConfig::maelstrom(res, Partition::even(2, res.pes, res.bandwidth_gbps))
+                .unwrap();
+        let fleet = FleetConfig::homogeneous(&chip, 2);
+        let cfg = ControllerConfig::new(0.05, ControllerPolicy::repartitioner())
+            .with_menu(vec![chip.clone()])
+            .with_area_budget(2.0 * chip.area_mm2());
+        let scenario = herald_workloads::diurnal_ramp_trace(4, 100.0, 300.0, 0.02, 0.4, 7);
+        let run = |timed| {
+            let mut dispatcher = DispatchPolicy::LeastLoaded.build();
+            let mut controller = cfg.policy.build();
+            let control = Some((&cfg, controller.as_mut() as &mut dyn FleetController));
+            let params = WalkParams::default();
+            simulate_controlled(
+                &fleet,
+                &params,
+                dispatcher.as_mut(),
+                &scenario,
+                control,
+                timed,
+            )
+            .unwrap()
+        };
+        let ((report, untimed), (timed_report, timed)) = (run(false), run(true));
+        assert_eq!(report, timed_report);
+        assert!(report
+            .events()
+            .iter()
+            .any(|e| e.applied && e.memos_invalidated > 0));
+        assert!(timed.walk_ns > 0 && timed.run_ns > 0);
+        let zeroed = HotPathProfile {
+            compile_ns: 0,
+            admit_ns: 0,
+            run_ns: 0,
+            harvest_ns: 0,
+            walk_ns: 0,
+            ..timed
+        };
+        assert_eq!(untimed, zeroed);
     }
 
     #[test]

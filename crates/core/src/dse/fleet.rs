@@ -72,7 +72,7 @@ use crate::dse::map_chunked;
 use crate::error::HeraldError;
 use crate::fleet::{AdmissionPolicy, DispatchPolicy, FleetConfig, FleetSimulator};
 use crate::pareto::pareto_frontier_nd;
-use crate::sched::SchedulerConfig;
+use crate::sched::{HeraldScheduler, IncrementalScheduler, SchedulerConfig};
 use crate::sim::engine::{reject_chained, validate_scenario};
 use crate::sim::report::{percentile, QuantileSketch, ReportMode};
 use herald_arch::AcceleratorConfig;
@@ -605,7 +605,8 @@ impl FleetDseEngine {
             fusion,
             ..self.config.scheduler
         };
-        Estimator::new(scenario, cfg, ctx.clone())
+        let scheduler = IncrementalScheduler::new(HeraldScheduler::new(cfg), ctx.clone());
+        Estimator::new(scenario, Box::new(scheduler), ctx.clone())
     }
 
     /// The cheap surrogate evaluation: [`FleetSimulator`]'s phase 1, the

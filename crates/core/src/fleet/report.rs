@@ -47,48 +47,23 @@ pub struct DroppedFrame {
 /// serializable, like the per-chip reports it wraps.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
-    scenario: String,
-    policy: String,
-    chip_names: Vec<String>,
+    pub(crate) scenario: String,
+    pub(crate) policy: String,
+    pub(crate) chip_names: Vec<String>,
     /// Shared with every per-chip report (one allocation fleet-wide).
-    stream_names: Arc<Vec<String>>,
-    horizon_s: f64,
-    per_chip: Vec<StreamReport>,
-    assignments: Vec<FrameAssignment>,
-    dropped: Vec<DroppedFrame>,
+    pub(crate) stream_names: Arc<Vec<String>>,
+    pub(crate) horizon_s: f64,
+    pub(crate) per_chip: Vec<StreamReport>,
+    pub(crate) assignments: Vec<FrameAssignment>,
+    /// Empty, or one entry per admission drop.
+    pub(crate) dropped: Vec<DroppedFrame>,
     /// Admission drops as a scalar count, kept even when the per-frame
     /// audit trail is disabled (see
     /// [`crate::fleet::FleetConfig::with_audit_trail`]).
-    dropped_total: usize,
+    pub(crate) dropped_total: usize,
 }
 
 impl FleetReport {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        scenario: String,
-        policy: String,
-        chip_names: Vec<String>,
-        stream_names: Arc<Vec<String>>,
-        horizon_s: f64,
-        per_chip: Vec<StreamReport>,
-        assignments: Vec<FrameAssignment>,
-        dropped: Vec<DroppedFrame>,
-        dropped_total: usize,
-    ) -> Self {
-        debug_assert!(dropped.is_empty() || dropped.len() == dropped_total);
-        Self {
-            scenario,
-            policy,
-            chip_names,
-            stream_names,
-            horizon_s,
-            per_chip,
-            assignments,
-            dropped,
-            dropped_total,
-        }
-    }
-
     /// Name of the simulated scenario.
     #[must_use]
     pub fn scenario(&self) -> &str {

@@ -65,12 +65,8 @@ use herald_workloads::{MultiDnnWorkload, Scenario};
 #[derive(Debug)]
 pub struct FleetSimulator<'a> {
     fleet: &'a FleetConfig,
-    scheduler: SchedulerConfig,
-    metric: Metric,
-    reschedule: ReschedulePolicy,
+    params: WalkParams,
     dispatcher: DispatchPolicy,
-    admission: AdmissionPolicy,
-    report: ReportMode,
 }
 
 impl<'a> FleetSimulator<'a> {
@@ -80,12 +76,8 @@ impl<'a> FleetSimulator<'a> {
     pub fn new(fleet: &'a FleetConfig) -> Self {
         Self {
             fleet,
-            scheduler: SchedulerConfig::default(),
-            metric: Metric::Edp,
-            reschedule: ReschedulePolicy::default(),
+            params: WalkParams::default(),
             dispatcher: DispatchPolicy::default(),
-            admission: AdmissionPolicy::default(),
-            report: ReportMode::Exact,
         }
     }
 
@@ -94,14 +86,14 @@ impl<'a> FleetSimulator<'a> {
     /// fleet-level percentiles merge the per-chip sketches exactly.
     #[must_use]
     pub fn with_report_mode(mut self, report: ReportMode) -> Self {
-        self.report = report;
+        self.params.report = report;
         self
     }
 
     /// Overrides the per-chip online scheduler configuration.
     #[must_use]
     pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
-        self.scheduler = scheduler;
+        self.params.scheduler = scheduler;
         self
     }
 
@@ -109,7 +101,7 @@ impl<'a> FleetSimulator<'a> {
     /// picks its per-layer dataflow.
     #[must_use]
     pub fn with_metric(mut self, metric: Metric) -> Self {
-        self.metric = metric;
+        self.params.metric = metric;
         self
     }
 
@@ -117,7 +109,7 @@ impl<'a> FleetSimulator<'a> {
     /// default).
     #[must_use]
     pub fn with_policy(mut self, policy: ReschedulePolicy) -> Self {
-        self.reschedule = policy;
+        self.params.reschedule = policy;
         self
     }
 
@@ -131,7 +123,7 @@ impl<'a> FleetSimulator<'a> {
     /// Sets the admission policy (accept-all by default).
     #[must_use]
     pub fn with_admission(mut self, admission: AdmissionPolicy) -> Self {
-        self.admission = admission;
+        self.params.admission = admission;
         self
     }
 
@@ -164,15 +156,8 @@ impl<'a> FleetSimulator<'a> {
         dispatcher: &mut dyn Dispatcher,
         scenario: &Scenario,
     ) -> Result<FleetReport, HeraldError> {
-        simulate_controlled(
-            self.fleet,
-            &self.params(),
-            dispatcher,
-            scenario,
-            None,
-            false,
-        )
-        .map(|(report, _)| report.into_fleet())
+        simulate_controlled(self.fleet, &self.params, dispatcher, scenario, None, false)
+            .map(|(report, _)| report.into_fleet())
     }
 
     /// [`FleetSimulator::simulate`] plus the merged
@@ -192,23 +177,13 @@ impl<'a> FleetSimulator<'a> {
         let mut dispatcher = self.dispatcher.build();
         simulate_controlled(
             self.fleet,
-            &self.params(),
+            &self.params,
             dispatcher.as_mut(),
             scenario,
             None,
             true,
         )
         .map(|(report, profile)| (report.into_fleet(), profile))
-    }
-
-    fn params(&self) -> WalkParams {
-        WalkParams {
-            scheduler: self.scheduler,
-            metric: self.metric,
-            reschedule: self.reschedule,
-            admission: self.admission,
-            report: self.report,
-        }
     }
 }
 
@@ -368,7 +343,7 @@ mod tests {
         let mut dispatcher = sim.dispatcher.build();
         let (_, untimed) = simulate_controlled(
             &fleet,
-            &sim.params(),
+            &sim.params,
             dispatcher.as_mut(),
             &scenario,
             None,

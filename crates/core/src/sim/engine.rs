@@ -20,13 +20,10 @@ use crate::ctx::{EvalContext, EvalStats};
 use crate::error::HeraldError;
 use crate::sched::Scheduler;
 use crate::sim::core::{
-    build_cost_table, max_occupancy, CostTable, EventCore, FrameResult, GraphRef, ScheduleRef,
-    Timeline,
+    build_cost_table, max_occupancy, CostTable, EventCore, GraphRef, ScheduleRef,
 };
 use crate::sim::profile::HotPathProfile;
-use crate::sim::report::{
-    ArrivalWindow, FrameRecord, QuantileSketch, ReportMode, StreamAgg, StreamReport, SwapRecord,
-};
+use crate::sim::report::{Collector, ReportMode, StreamAgg, StreamReport, SwapRecord};
 use crate::task::TaskGraph;
 use herald_arch::AcceleratorConfig;
 use herald_cost::{CostModel, Metric};
@@ -35,12 +32,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Fixed number of arrival/utilization windows a sketch-mode report
-/// keeps over the scenario horizon (each window is `horizon / 128`
-/// seconds; utilization windows grow past the horizon to cover the
-/// makespan).
-pub(crate) const SKETCH_WINDOWS: usize = 128;
 
 /// Cap on trace events admitted against one commit window. A batch
 /// only ever extends while the next event lands at or before the core's
@@ -398,7 +389,7 @@ pub(crate) struct RoutedScenario<'a> {
     pub(crate) name: &'a str,
     pub(crate) horizon_s: f64,
     pub(crate) streams: &'a [StreamSpec],
-    pub(crate) stream_names: Arc<Vec<String>>,
+    pub(crate) stream_names: &'a Arc<Vec<String>>,
     pub(crate) arrivals: &'a [(f64, u32)],
 }
 
@@ -524,12 +515,6 @@ struct StreamRow {
     agg: StreamAgg,
 }
 
-impl StreamRow {
-    fn deadline(&self) -> Option<f64> {
-        self.deadline_s.is_finite().then_some(self.deadline_s)
-    }
-}
-
 /// One compiled-schedule slot of a chained stream's per-token workload
 /// table: tokens sharing a KV bucket share the slot (and its
 /// dirty-tracked schedule); distinct buckets compile independently.
@@ -564,8 +549,6 @@ struct Compiler<'r, 'w, S> {
     pool: Vec<CompiledSchedule>,
     /// Pool entries no row points at any more.
     free: Vec<u32>,
-    invocations: usize,
-    cache_hits: usize,
 }
 
 impl<'w, S: Scheduler> Compiler<'_, 'w, S> {
@@ -618,9 +601,9 @@ impl<'w, S: Scheduler> Compiler<'_, 'w, S> {
             self.scheduler
                 .schedule_tracked(&workload.graph, self.acc, self.cost, self.stats)?;
         if memo_hit {
-            self.cache_hits += 1;
+            profile.schedule_cache_hits += 1;
         } else {
-            self.invocations += 1;
+            profile.schedule_compiles += 1;
         }
         if let Some(i) = workload.compiled {
             let interned = &self.pool[i as usize].schedule;
@@ -666,23 +649,6 @@ impl<'w, S: Scheduler> Compiler<'_, 'w, S> {
     }
 }
 
-/// Which source holds the globally next event: the lazy spec-derived
-/// trace or the heap of engine-injected chained arrivals. `None` when
-/// both are exhausted; ties break by [`Event::order_key`] with injected
-/// events first on exact key equality (which cannot occur — a chained
-/// stream's trace carries only its seq-0 start).
-fn next_is_injected<I: Iterator<Item = Event>>(
-    trace: &mut std::iter::Peekable<I>,
-    injected: &BinaryHeap<Reverse<ByKey>>,
-) -> Option<bool> {
-    match (trace.peek(), injected.peek()) {
-        (None, None) => None,
-        (None, Some(_)) => Some(true),
-        (Some(_), None) => Some(false),
-        (Some(e), Some(Reverse(ByKey(i)))) => Some(i.order_key() <= e.order_key()),
-    }
-}
-
 /// Metadata of an admitted frame, joined with the core's timeline once
 /// the frame completes.
 struct PendingFrame {
@@ -693,142 +659,304 @@ struct PendingFrame {
     workload: u32,
 }
 
-/// Mode-dispatched frame accumulation: exact mode retains every record;
-/// sketch mode folds each completion into the quantile sketch, its
-/// stream's [`StreamAgg`] (kept in the stream's row) and the fixed
-/// arrival windows, keeping only sampled exemplar records. The busy
-/// spans never pass through here: the core records them at commit (see
-/// [`Timeline`]).
-struct Collector {
-    mode: ReportMode,
-    completed: u64,
-    makespan: f64,
-    frames: Vec<FrameRecord>,
-    sketch: QuantileSketch,
-    window_s: f64,
-    miss_windows: Vec<ArrivalWindow>,
-    sample_every: usize,
+/// The trace-source stage: the spec-derived (or fleet-routed) trace
+/// merged with the arrivals the engine injects for chained streams. Token
+/// `seq + 1` of a chained stream arrives `gap_s` after token `seq`
+/// completes, so its time is a function of the schedule and no
+/// spec-derived trace can carry it. Events come out in
+/// [`Event::order_key`] order, an injected event first on exact key
+/// equality (which cannot occur: a chained stream's trace carries only
+/// its seq-0 start).
+struct TraceSource<I: Iterator<Item = Event>> {
+    trace: std::iter::Peekable<I>,
+    injected: BinaryHeap<Reverse<ByKey>>,
 }
 
-impl Collector {
-    fn new(mode: ReportMode, horizon_s: f64) -> Self {
-        let (sketch, window_s, sample_every) = match mode {
-            ReportMode::Exact => (QuantileSketch::default(), 0.0, 0),
-            ReportMode::Sketch {
-                relative_error,
-                sample_every,
-            } => (
-                QuantileSketch::new(relative_error),
-                horizon_s / SKETCH_WINDOWS as f64,
-                sample_every,
-            ),
-        };
-        Self {
-            mode,
-            completed: 0,
-            makespan: horizon_s,
-            frames: Vec::new(),
-            sketch,
-            window_s,
-            miss_windows: Vec::new(),
-            sample_every,
+impl<I: Iterator<Item = Event>> TraceSource<I> {
+    /// Whether the next event is an injected one (`None` once both
+    /// sources are exhausted).
+    fn injected_first(&mut self) -> Option<bool> {
+        match (self.trace.peek(), self.injected.peek()) {
+            (None, None) => None,
+            (Some(e), Some(Reverse(ByKey(i)))) => Some(i.order_key() <= e.order_key()),
+            (e, _) => Some(e.is_none()),
         }
     }
 
-    fn record(
-        &mut self,
-        p: &PendingFrame,
-        row: &mut StreamRow,
-        workload: &Arc<str>,
-        done: &FrameResult,
-    ) {
-        let (arrival_s, finish_s) = (done.arrival_s, done.finish_s);
-        let energy_j = done.energy.total_j();
-        self.completed += 1;
-        self.makespan = self.makespan.max(finish_s);
-        let latency_s = finish_s - arrival_s;
-        let missed = latency_s > row.deadline_s;
-        let deadline_s = row.deadline();
-        let record = |frames: &mut Vec<FrameRecord>| {
-            frames.push(FrameRecord {
-                stream: p.stream as usize,
-                seq: p.seq as usize,
-                workload: Arc::clone(workload),
-                arrival_s,
-                finish_s,
-                latency_s,
-                deadline_s,
-                missed,
-                energy_j,
-            });
-        };
-        if self.mode.is_exact() {
-            record(&mut self.frames);
-            return;
+    /// The next event, left pending.
+    fn peek(&mut self) -> Option<Event> {
+        if self.injected_first()? {
+            self.injected.peek().map(|Reverse(ByKey(e))| *e)
+        } else {
+            self.trace.peek().copied()
         }
-        self.sketch.insert(latency_s);
-        let has_deadline = deadline_s.is_some();
-        row.agg.record(latency_s, has_deadline, missed);
-        if self.window_s > 0.0 {
-            let w = (arrival_s / self.window_s) as usize;
-            if w >= self.miss_windows.len() {
-                self.miss_windows.resize(w + 1, ArrivalWindow::default());
+    }
+}
+
+impl<I: Iterator<Item = Event>> Iterator for TraceSource<I> {
+    type Item = Event;
+
+    fn next(&mut self) -> Option<Event> {
+        if self.injected_first()? {
+            self.injected.pop().map(|Reverse(ByKey(e))| e)
+        } else {
+            self.trace.next()
+        }
+    }
+}
+
+/// One run's state. [`StreamSimulator::replay`] drives it through four
+/// stages: the [`TraceSource`] yields the events, admission
+/// ([`Run::admit`]) compiles and admits each arrival and applies each
+/// swap, commit ([`Run::advance`]) runs the core up to an instant and
+/// harvests the frames that completed, and the [`Collector`] builds the
+/// report.
+struct Run<'r, 'w, S, I: Iterator<Item = Event>> {
+    policy: ReschedulePolicy,
+    specs: &'w [StreamSpec],
+    compiler: Compiler<'r, 'w, S>,
+    rows: Vec<StreamRow>,
+    /// One entry per stream when any stream is chained, else empty.
+    chains: Vec<Option<Chain>>,
+    source: TraceSource<I>,
+    core: EventCore<'r>,
+    pending: Vec<PendingFrame>,
+    col: Collector,
+    profile: HotPathProfile,
+    timed: bool,
+}
+
+impl<'r, 'w, S: Scheduler, I: Iterator<Item = Event>> Run<'r, 'w, S, I> {
+    fn new(
+        sim: &StreamSimulator<'r>,
+        scheduler: &'r S,
+        stats: &'r EvalStats,
+        specs: &'w [StreamSpec],
+        trace: I,
+        col: Collector,
+        timed: bool,
+    ) -> Self {
+        let mut profile = HotPathProfile::default();
+        let mut compiler = Compiler {
+            scheduler,
+            acc: sim.acc,
+            cost: sim.cost,
+            metric: sim.metric,
+            stats,
+            workloads: Vec::new(),
+            pool: Vec::new(),
+            free: Vec::new(),
+        };
+        // Chain-free scenarios keep no chain table, so the trace source
+        // never injects and harvest skips every chain check.
+        let has_chained = specs
+            .iter()
+            .any(|s| matches!(s.arrival(), ArrivalProcess::Chained { .. }));
+        let mut chains: Vec<Option<Chain>> = Vec::new();
+
+        // Intern workloads by structure: a million streams instantiated
+        // from a handful of shared workloads build (and fingerprint) one
+        // graph and one cost table per distinct workload, not per
+        // stream. Each stream still tracks its own compiled schedule and
+        // calls the scheduler exactly as often, so compile/cache-hit
+        // counts are unchanged.
+        let mut rows: Vec<StreamRow> = Vec::with_capacity(specs.len());
+        for s in specs {
+            rows.push(StreamRow {
+                workload: compiler.intern(s.workload(), &mut profile),
+                compiled: NOT_COMPILED,
+                deadline_s: s.deadline_s().unwrap_or(f64::INFINITY),
+                agg: StreamAgg::default(),
+            });
+            if !has_chained {
+                continue;
             }
-            let win = &mut self.miss_windows[w];
-            win.frames += 1;
-            win.latency_sum_s += latency_s;
-            if has_deadline {
-                win.deadline_frames += 1;
-                if missed {
-                    win.missed += 1;
+            let ArrivalProcess::Chained { gap_s, tokens, .. } = *s.arrival() else {
+                chains.push(None);
+                continue;
+            };
+            let mut slots: Vec<TokenSlot> = Vec::new();
+            let mut token_map: Vec<usize> = Vec::with_capacity(s.token_workloads().len());
+            for tw in s.token_workloads() {
+                let w = compiler.intern(tw, &mut profile);
+                let slot = match slots.iter().position(|slot| slot.workload == w) {
+                    Some(i) => i,
+                    None => {
+                        slots.push(TokenSlot {
+                            workload: w,
+                            compiled: NOT_COMPILED,
+                        });
+                        slots.len() - 1
+                    }
+                };
+                token_map.push(slot);
+            }
+            chains.push(Some(Chain {
+                gap_s,
+                tokens,
+                slots,
+                token_map,
+            }));
+        }
+        Self {
+            policy: sim.policy,
+            specs,
+            compiler,
+            rows,
+            chains,
+            source: TraceSource {
+                trace: trace.peekable(),
+                injected: BinaryHeap::new(),
+            },
+            core: EventCore::with_timeline(sim.acc, col.timeline(sim.acc.sub_accelerators().len())),
+            pending: Vec::new(),
+            col,
+            profile,
+            timed,
+        }
+    }
+
+    /// The admission stage: the online scheduling decision for one event.
+    /// An arrival admits its frame against the core's cached occupancy
+    /// under the stream's compiled schedule; a swap recompiles the
+    /// stream's schedule for its new workload.
+    fn admit(&mut self, event: Event) -> Result<(), HeraldError> {
+        self.profile.events += 1;
+        let row = &mut self.rows[event.stream];
+        match event.kind {
+            EventKind::Arrival { seq } => {
+                // Incremental: serve the stream's dirty-tracked compiled
+                // schedule (compiling it on first use). Full-reschedule:
+                // compile fresh at every arrival (a pending eager swap
+                // recompile is consumed by the first post-swap arrival,
+                // as the scheduler is deterministic).
+                let t0 = self.timed.then(Instant::now);
+                // A chained stream with per-token workloads resolves this
+                // token's slot (same-bucket tokens share the compiled
+                // schedule); every other stream uses its row's single
+                // dirty-tracked slot.
+                let (workload, compiled_slot) = match self.chains.get_mut(event.stream) {
+                    Some(Some(chain)) if !chain.token_map.is_empty() => {
+                        let slot = &mut chain.slots[chain.token_map[seq]];
+                        (slot.workload, &mut slot.compiled)
+                    }
+                    _ => (row.workload, &mut row.compiled),
+                };
+                let compiled = match self.policy {
+                    ReschedulePolicy::Incremental => {
+                        if *compiled_slot == NOT_COMPILED {
+                            *compiled_slot = self.compiler.compile(workload, &mut self.profile)?;
+                        } else {
+                            self.profile.schedule_cache_hits += 1;
+                        }
+                        *compiled_slot
+                    }
+                    ReschedulePolicy::FullReschedule => {
+                        match std::mem::replace(compiled_slot, NOT_COMPILED) {
+                            NOT_COMPILED => self.compiler.compile(workload, &mut self.profile)?,
+                            compiled => compiled,
+                        }
+                    }
+                };
+                if let Some(t0) = t0 {
+                    self.profile.compile_ns += t0.elapsed().as_nanos() as u64;
+                }
+                let t0 = self.timed.then(Instant::now);
+                let entry = &self.compiler.pool[compiled as usize];
+                let handle = self
+                    .core
+                    .admit_with_costs(
+                        GraphRef::Shared(Arc::clone(
+                            &self.compiler.workloads[workload as usize].graph,
+                        )),
+                        ScheduleRef::Shared(Arc::clone(&entry.schedule)),
+                        Arc::clone(&entry.costs),
+                        entry.max_occ,
+                        event.t,
+                    )
+                    .map_err(HeraldError::Simulation)?;
+                if self.policy == ReschedulePolicy::FullReschedule {
+                    self.compiler.release(compiled);
+                }
+                if let Some(t0) = t0 {
+                    self.profile.admit_ns += t0.elapsed().as_nanos() as u64;
+                }
+                self.profile.admissions += 1;
+                self.pending.push(PendingFrame {
+                    handle: handle as u32,
+                    stream: event.stream as u32,
+                    seq: seq as u32,
+                    workload,
+                });
+            }
+            EventKind::Swap { swap_index } => {
+                let swap = &self.specs[event.stream].swaps()[swap_index];
+                let to = self.compiler.intern(&swap.workload, &mut self.profile);
+                // The swap dirties exactly this stream's compiled
+                // schedule; recompile eagerly at the change event
+                // (modeling the runtime recompiling on deployment
+                // changes). Other streams' memos are untouched.
+                let t0 = self.timed.then(Instant::now);
+                let compiled = self.compiler.compile(to, &mut self.profile)?;
+                self.compiler
+                    .release(std::mem::replace(&mut row.compiled, compiled));
+                if let Some(t0) = t0 {
+                    self.profile.compile_ns += t0.elapsed().as_nanos() as u64;
+                }
+                let names = &self.compiler.workloads;
+                self.col.swap(SwapRecord {
+                    stream: event.stream,
+                    at_s: event.t,
+                    from: Arc::clone(&names[row.workload as usize].name),
+                    to: Arc::clone(&names[to as usize].name),
+                });
+                row.workload = to;
+            }
+        }
+        Ok(())
+    }
+
+    /// The commit stage: runs the core up to `t`, then harvests every
+    /// completed frame into the collector, in pending order. A completed
+    /// token of a chained stream injects its successor's arrival `gap_s`
+    /// after its finish.
+    fn advance(&mut self, t: f64) -> Result<(), HeraldError> {
+        let t0 = self.timed.then(Instant::now);
+        self.core.run_until(t).map_err(HeraldError::Simulation)?;
+        if let Some(t0) = t0 {
+            self.profile.run_ns += t0.elapsed().as_nanos() as u64;
+        }
+        let t0 = self.timed.then(Instant::now);
+        let mut i = 0;
+        while i < self.pending.len() {
+            if !self.core.frame_done(self.pending[i].handle as usize) {
+                i += 1;
+                continue;
+            }
+            let p = self.pending.remove(i);
+            let stream = p.stream as usize;
+            let done = self.core.take_frame(p.handle as usize);
+            if let Some(Some(chain)) = self.chains.get(stream) {
+                if (p.seq as usize) + 1 < chain.tokens {
+                    self.source.injected.push(Reverse(ByKey(Event {
+                        t: done.finish_s + chain.gap_s,
+                        stream,
+                        kind: EventKind::Arrival {
+                            seq: p.seq as usize + 1,
+                        },
+                    })));
                 }
             }
+            let row = &mut self.rows[stream];
+            let workload = &self.compiler.workloads[p.workload as usize].name;
+            let seq = p.seq as usize;
+            self.col
+                .record(stream, seq, workload, &done, &mut row.agg, row.deadline_s);
         }
-        if self.sample_every > 0 && (self.completed - 1).is_multiple_of(self.sample_every as u64) {
-            record(&mut self.frames);
+        if let Some(t0) = t0 {
+            self.profile.harvest_ns += t0.elapsed().as_nanos() as u64;
         }
-    }
-}
-
-/// Harvests every completed frame into the collector, in pending order.
-/// A completed token of a chained stream injects its successor's arrival
-/// `gap_s` after its finish; `chains` is empty when the run has no
-/// chained stream, and harvest then never reads it.
-fn harvest(
-    core: &mut EventCore<'_>,
-    pending: &mut Vec<PendingFrame>,
-    col: &mut Collector,
-    rows: &mut [StreamRow],
-    workloads: &[InternedWorkload<'_>],
-    chains: &[Option<Chain>],
-    injected: &mut BinaryHeap<Reverse<ByKey>>,
-) {
-    let mut i = 0;
-    while i < pending.len() {
-        if !core.frame_done(pending[i].handle as usize) {
-            i += 1;
-            continue;
-        }
-        let p = pending.remove(i);
-        let stream = p.stream as usize;
-        let done = core.take_frame(p.handle as usize);
-        if let Some(Some(chain)) = chains.get(stream) {
-            if (p.seq as usize) + 1 < chain.tokens {
-                injected.push(Reverse(ByKey(Event {
-                    t: done.finish_s + chain.gap_s,
-                    stream,
-                    kind: EventKind::Arrival {
-                        seq: p.seq as usize + 1,
-                    },
-                })));
-            }
-        }
-        col.record(
-            &p,
-            &mut rows[stream],
-            &workloads[p.workload as usize].name,
-            &done,
-        );
+        Ok(())
     }
 }
 
@@ -931,22 +1059,15 @@ impl<'a> StreamSimulator<'a> {
         timed: bool,
     ) -> Result<(StreamReport, HotPathProfile), HeraldError> {
         validate_scenario(scenario)?;
-        let stream_names = Arc::new(
-            scenario
-                .streams()
-                .iter()
-                .map(|s| s.name().to_string())
-                .collect::<Vec<String>>(),
-        );
-        self.run_inner(
-            scheduler,
+        let names = scenario.streams().iter().map(|s| s.name().to_string());
+        let col = Collector::new(
             scenario.name(),
+            Arc::new(names.collect()),
             scenario.horizon_s(),
-            scenario.streams(),
-            stream_names,
-            MergedTrace::new(scenario),
-            timed,
-        )
+            self.report,
+        );
+        let trace = MergedTrace::new(scenario);
+        self.replay(scheduler, scenario.streams(), trace, col, timed)
     }
 
     /// Replays a fleet-routed arrival slice (already validated and
@@ -959,419 +1080,93 @@ impl<'a> StreamSimulator<'a> {
         routed: &RoutedScenario<'_>,
         timed: bool,
     ) -> Result<(StreamReport, HotPathProfile), HeraldError> {
-        self.run_inner(
-            scheduler,
-            routed.name,
-            routed.horizon_s,
-            routed.streams,
-            Arc::clone(&routed.stream_names),
-            RoutedTraceIter::new(routed),
-            timed,
-        )
+        let names = Arc::clone(routed.stream_names);
+        let col = Collector::new(routed.name, names, routed.horizon_s, self.report);
+        let trace = RoutedTraceIter::new(routed);
+        self.replay(scheduler, routed.streams, trace, col, timed)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner<S: Scheduler>(
+    /// Drives one run through its stages: per commit window, chain-safe
+    /// stepping, one commit up to the next event, then a batch of
+    /// admissions; then the drain and the report.
+    fn replay<S: Scheduler>(
         &self,
         scheduler: &S,
-        name: &str,
-        horizon_s: f64,
         specs: &[StreamSpec],
-        stream_names: Arc<Vec<String>>,
         trace: impl Iterator<Item = Event>,
+        col: Collector,
         timed: bool,
     ) -> Result<(StreamReport, HotPathProfile), HeraldError> {
-        let mut profile = HotPathProfile::default();
         let local_stats = EvalStats::default();
-        let stats: &EvalStats = match self.ctx {
-            Some(ctx) => ctx.stats(),
-            None => &local_stats,
-        };
-        let placement_before = stats.placement_evals();
-        let stats_before = stats.snapshot();
-        let mut compiler = Compiler {
-            scheduler,
-            acc: self.acc,
-            cost: self.cost,
-            metric: self.metric,
-            stats,
-            workloads: Vec::new(),
-            pool: Vec::new(),
-            free: Vec::new(),
-            invocations: 0,
-            cache_hits: 0,
-        };
-
-        // Autoregressive chains: token `seq + 1` of a chained stream is
-        // *injected* by the engine `gap_s` after token `seq` completes —
-        // its arrival time is a function of the schedule, so no
-        // spec-derived trace can carry it. Chain-free scenarios keep no
-        // chain table, leave the heap empty and skip every chain check.
-        let has_chained = specs
-            .iter()
-            .any(|s| matches!(s.arrival(), ArrivalProcess::Chained { .. }));
-        let mut chains: Vec<Option<Chain>> = Vec::new();
-        let mut injected: BinaryHeap<Reverse<ByKey>> = BinaryHeap::new();
-
-        // Intern workloads by structure: a million streams instantiated
-        // from a handful of shared workloads build (and fingerprint) one
-        // graph and one cost table per distinct workload, not per
-        // stream. Each stream still tracks its own compiled schedule and
-        // calls the scheduler exactly as often, so compile/cache-hit
-        // counts are unchanged.
-        let mut rows: Vec<StreamRow> = Vec::with_capacity(specs.len());
-        for s in specs {
-            rows.push(StreamRow {
-                workload: compiler.intern(s.workload(), &mut profile),
-                compiled: NOT_COMPILED,
-                deadline_s: s.deadline_s().unwrap_or(f64::INFINITY),
-                agg: StreamAgg::default(),
-            });
-            if !has_chained {
-                continue;
-            }
-            let ArrivalProcess::Chained { gap_s, tokens, .. } = *s.arrival() else {
-                chains.push(None);
-                continue;
-            };
-            let mut slots: Vec<TokenSlot> = Vec::new();
-            let mut token_map: Vec<usize> = Vec::with_capacity(s.token_workloads().len());
-            for tw in s.token_workloads() {
-                let w = compiler.intern(tw, &mut profile);
-                let slot = match slots.iter().position(|slot| slot.workload == w) {
-                    Some(i) => i,
-                    None => {
-                        slots.push(TokenSlot {
-                            workload: w,
-                            compiled: NOT_COMPILED,
-                        });
-                        slots.len() - 1
-                    }
-                };
-                token_map.push(slot);
-            }
-            chains.push(Some(Chain {
-                gap_s,
-                tokens,
-                slots,
-                token_map,
-            }));
-        }
-
-        let mut col = Collector::new(self.report, horizon_s);
-        let timeline = match self.report {
-            ReportMode::Exact => {
-                Timeline::Spans(vec![Vec::new(); self.acc.sub_accelerators().len()])
-            }
-            ReportMode::Sketch { .. } => Timeline::Windows {
-                window_s: col.window_s,
-                cells: Vec::new(),
-            },
-        };
-        let mut core = EventCore::with_timeline(self.acc, timeline);
-        let mut pending: Vec<PendingFrame> = Vec::new();
-        let mut swaps: Vec<SwapRecord> = Vec::new();
-        let mut schedule_cache_hits = 0usize;
-        let mut events_processed = 0usize;
-
-        let mut trace = trace.peekable();
+        let stats = self.ctx.map_or(&local_stats, EvalContext::stats);
+        let (placement_before, stats_before) = (stats.placement_evals(), stats.snapshot());
+        let mut run = Run::new(self, scheduler, stats, specs, trace, col, timed);
         loop {
             // Chain-safe stepping: while the core's next commit precedes
-            // every known future event, advance commit by commit and
-            // harvest, so a chained completion injects its successor
-            // arrival before the core runs past it. Each commit made
-            // here starts at or before `ncs <= bound`, and an injection
-            // lands at `finish + gap > finish >= the committing start`,
-            // so no injected arrival is ever discovered in the core's
-            // past. Chain-free scenarios skip this entirely.
-            if has_chained {
-                loop {
-                    let bound = match (trace.peek(), injected.peek()) {
-                        (Some(e), Some(Reverse(ByKey(i)))) => e.t.min(i.t),
-                        (Some(e), None) => e.t,
-                        (None, Some(Reverse(ByKey(i)))) => i.t,
-                        (None, None) => f64::INFINITY,
-                    };
-                    let Some(ncs) = core.next_commit_start() else {
-                        break;
-                    };
-                    if ncs > bound {
-                        break;
-                    }
-                    let t0 = timed.then(Instant::now);
-                    core.run_until(ncs).map_err(HeraldError::Simulation)?;
-                    if let Some(t0) = t0 {
-                        profile.run_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                    let t0 = timed.then(Instant::now);
-                    harvest(
-                        &mut core,
-                        &mut pending,
-                        &mut col,
-                        &mut rows,
-                        &compiler.workloads,
-                        &chains,
-                        &mut injected,
-                    );
-                    if let Some(t0) = t0 {
-                        profile.harvest_ns += t0.elapsed().as_nanos() as u64;
-                    }
+            // the next event, advance commit by commit, so a chained
+            // completion injects its successor arrival before the core
+            // runs past it. Each commit made here starts at or before the
+            // next event, and an injection lands at `finish + gap >
+            // finish >= the committing start`, so no injected arrival is
+            // ever discovered in the core's past.
+            while !run.chains.is_empty() {
+                let bound = run.source.peek().map_or(f64::INFINITY, |e| e.t);
+                match run.core.next_commit_start() {
+                    Some(ncs) if ncs <= bound => run.advance(ncs)?,
+                    _ => break,
                 }
             }
-            let Some(mut take_injected) = next_is_injected(&mut trace, &injected) else {
+            let Some(first) = run.source.peek() else {
                 break;
             };
-            let window_t = if take_injected {
-                let Some(Reverse(ByKey(e))) = injected.peek() else {
-                    unreachable!("peeked above");
-                };
-                e.t
-            } else {
-                trace.peek().expect("peeked above").t
-            };
-            let t0 = timed.then(Instant::now);
-            core.run_until(window_t).map_err(HeraldError::Simulation)?;
-            if let Some(t0) = t0 {
-                profile.run_ns += t0.elapsed().as_nanos() as u64;
-            }
-            let t0 = timed.then(Instant::now);
-            harvest(
-                &mut core,
-                &mut pending,
-                &mut col,
-                &mut rows,
-                &compiler.workloads,
-                &chains,
-                &mut injected,
-            );
-            if let Some(t0) = t0 {
-                profile.harvest_ns += t0.elapsed().as_nanos() as u64;
-            }
+            run.advance(first.t)?;
             // Batched admission: admit this event, then keep admitting
-            // trace events while the next one lands at or before the
-            // core's next pending commit — every skipped `run_until`
-            // would have been a no-op, and same-instant ties break by
-            // admission order exactly as in the event-at-a-time walk,
-            // so any batch extent is bit-identical.
-            profile.admission_batches += 1;
+            // while the next one lands at or before the core's next
+            // pending commit — every skipped `run_until` would have been
+            // a no-op, and same-instant ties break by admission order
+            // exactly as in the event-at-a-time walk, so any batch extent
+            // is bit-identical.
+            run.profile.admission_batches += 1;
             let mut batch_events = 0usize;
             loop {
-                let event = if take_injected {
-                    let Reverse(ByKey(event)) = injected.pop().expect("peeked above");
-                    event
-                } else {
-                    trace.next().expect("peeked above")
-                };
-                events_processed += 1;
+                let event = run.source.next().expect("peeked above");
+                run.admit(event)?;
                 batch_events += 1;
-                let row = &mut rows[event.stream];
-                match event.kind {
-                    EventKind::Arrival { seq } => {
-                        // The online scheduling decision for this frame.
-                        // Incremental: serve the stream's dirty-tracked
-                        // compiled schedule (compiling it on first use)
-                        // and admit only the new frame's tasks against
-                        // the core's cached occupancy. Full-reschedule:
-                        // compile fresh at every arrival (a pending
-                        // eager swap recompile is consumed by the first
-                        // post-swap arrival, as the scheduler is
-                        // deterministic).
-                        let t0 = timed.then(Instant::now);
-                        // A chained stream with per-token workloads
-                        // resolves this token's slot (same-bucket tokens
-                        // share the compiled schedule); every other
-                        // stream uses its row's single dirty-tracked
-                        // slot.
-                        let (workload, compiled_slot) = match chains.get_mut(event.stream) {
-                            Some(Some(chain)) if !chain.token_map.is_empty() => {
-                                let slot = &mut chain.slots[chain.token_map[seq]];
-                                (slot.workload, &mut slot.compiled)
-                            }
-                            _ => (row.workload, &mut row.compiled),
-                        };
-                        let compiled = match self.policy {
-                            ReschedulePolicy::Incremental => {
-                                if *compiled_slot == NOT_COMPILED {
-                                    *compiled_slot = compiler.compile(workload, &mut profile)?;
-                                } else {
-                                    schedule_cache_hits += 1;
-                                }
-                                *compiled_slot
-                            }
-                            ReschedulePolicy::FullReschedule => {
-                                match std::mem::replace(compiled_slot, NOT_COMPILED) {
-                                    NOT_COMPILED => compiler.compile(workload, &mut profile)?,
-                                    compiled => compiled,
-                                }
-                            }
-                        };
-                        if let Some(t0) = t0 {
-                            profile.compile_ns += t0.elapsed().as_nanos() as u64;
-                        }
-                        let t0 = timed.then(Instant::now);
-                        let entry = &compiler.pool[compiled as usize];
-                        let handle = core
-                            .admit_with_costs(
-                                GraphRef::Shared(Arc::clone(
-                                    &compiler.workloads[workload as usize].graph,
-                                )),
-                                ScheduleRef::Shared(Arc::clone(&entry.schedule)),
-                                Arc::clone(&entry.costs),
-                                entry.max_occ,
-                                event.t,
-                            )
-                            .map_err(HeraldError::Simulation)?;
-                        if self.policy == ReschedulePolicy::FullReschedule {
-                            compiler.release(compiled);
-                        }
-                        if let Some(t0) = t0 {
-                            profile.admit_ns += t0.elapsed().as_nanos() as u64;
-                        }
-                        profile.admissions += 1;
-                        pending.push(PendingFrame {
-                            handle: handle as u32,
-                            stream: event.stream as u32,
-                            seq: seq as u32,
-                            workload,
-                        });
-                    }
-                    EventKind::Swap { swap_index } => {
-                        let swap = &specs[event.stream].swaps()[swap_index];
-                        let to = compiler.intern(&swap.workload, &mut profile);
-                        // The swap dirties exactly this stream's
-                        // compiled schedule; recompile eagerly at the
-                        // change event (modeling the runtime recompiling
-                        // on deployment changes). Other streams' memos
-                        // are untouched.
-                        let t0 = timed.then(Instant::now);
-                        let compiled = compiler.compile(to, &mut profile)?;
-                        compiler.release(std::mem::replace(&mut row.compiled, compiled));
-                        if let Some(t0) = t0 {
-                            profile.compile_ns += t0.elapsed().as_nanos() as u64;
-                        }
-                        swaps.push(SwapRecord {
-                            stream: event.stream,
-                            at_s: event.t,
-                            from: Arc::clone(&compiler.workloads[row.workload as usize].name),
-                            to: Arc::clone(&compiler.workloads[to as usize].name),
-                        });
-                        row.workload = to;
-                    }
-                }
                 if batch_events >= self.admission_batch {
                     break;
                 }
-                match next_is_injected(&mut trace, &injected) {
-                    None => break,
-                    Some(next_inj) => {
-                        let next_t = if next_inj {
-                            let Some(Reverse(ByKey(e))) = injected.peek() else {
-                                unreachable!("peeked above");
-                            };
-                            e.t
-                        } else {
-                            trace.peek().expect("peeked above").t
-                        };
-                        let next_commit = core.next_commit_start().unwrap_or(f64::INFINITY);
-                        if next_t > next_commit {
-                            break;
-                        }
-                        take_injected = next_inj;
-                    }
+                match run.source.peek() {
+                    Some(next)
+                        if next.t <= run.core.next_commit_start().unwrap_or(f64::INFINITY) => {}
+                    _ => break,
                 }
             }
-            profile.max_batch_events = profile.max_batch_events.max(batch_events as u64);
+            run.profile.max_batch_events = run.profile.max_batch_events.max(batch_events as u64);
         }
-        let t0 = timed.then(Instant::now);
-        core.run_until(f64::INFINITY)
-            .map_err(HeraldError::Simulation)?;
-        if let Some(t0) = t0 {
-            profile.run_ns += t0.elapsed().as_nanos() as u64;
-        }
-        harvest(
-            &mut core,
-            &mut pending,
-            &mut col,
-            &mut rows,
-            &compiler.workloads,
-            &chains,
-            &mut injected,
+        run.advance(f64::INFINITY)?;
+        debug_assert!(run.pending.is_empty(), "all frames complete after drain");
+        debug_assert!(
+            run.source.injected.is_empty(),
+            "all chained tokens admitted"
         );
-        debug_assert!(pending.is_empty(), "all frames complete after drain");
-        debug_assert!(injected.is_empty(), "all chained tokens admitted");
 
-        col.frames.sort_by(|a, b| {
-            a.arrival_s
-                .total_cmp(&b.arrival_s)
-                .then(a.stream.cmp(&b.stream))
-                .then(a.seq.cmp(&b.seq))
-        });
-        let (busy_spans, util_windows) = match core.take_timeline() {
-            Timeline::Spans(lists) => (lists, Vec::new()),
-            Timeline::Windows { cells, .. } => (Vec::new(), cells),
-            Timeline::Entries => unreachable!("a stream run records spans or windows"),
-        };
-        let scheduler_invocations = compiler.invocations;
-        schedule_cache_hits += compiler.cache_hits;
-
-        let stats_after = stats.snapshot();
-        profile.events = events_processed as u64;
-        profile.schedule_compiles = scheduler_invocations as u64;
-        profile.schedule_cache_hits = schedule_cache_hits as u64;
-        profile.fingerprint_lookups =
-            stats_after.fingerprint_lookups - stats_before.fingerprint_lookups;
-        profile.fingerprint_hits = stats_after.fingerprint_hits - stats_before.fingerprint_hits;
+        let Run {
+            rows,
+            mut core,
+            col,
+            mut profile,
+            ..
+        } = run;
+        let after = stats.snapshot();
+        profile.fingerprint_lookups = after.fingerprint_lookups - stats_before.fingerprint_lookups;
+        profile.fingerprint_hits = after.fingerprint_hits - stats_before.fingerprint_hits;
         profile.fingerprint_collisions =
-            stats_after.fingerprint_collisions - stats_before.fingerprint_collisions;
-        profile.verify_graph_walks =
-            stats_after.verify_graph_walks - stats_before.verify_graph_walks;
+            after.fingerprint_collisions - stats_before.fingerprint_collisions;
+        profile.verify_graph_walks = after.verify_graph_walks - stats_before.verify_graph_walks;
         core.record_counters(&mut profile);
-        profile.mem.frame_bytes =
-            (col.frames.capacity() * std::mem::size_of::<FrameRecord>()) as u64;
-        profile.mem.span_bytes = busy_spans
-            .iter()
-            .map(|list| (list.capacity() * std::mem::size_of::<(f64, f64)>()) as u64)
-            .sum();
-        let aggs: Vec<StreamAgg> = if self.report.is_exact() {
-            Vec::new()
-        } else {
-            rows.iter().map(|row| row.agg).collect()
-        };
-        if !self.report.is_exact() {
-            profile.mem.sketch_bytes = col.sketch.memory_bytes();
-            profile.mem.agg_bytes = (aggs.capacity() * std::mem::size_of::<StreamAgg>()
-                + util_windows.capacity() * std::mem::size_of::<f64>()
-                + col.miss_windows.capacity() * std::mem::size_of::<ArrivalWindow>())
-                as u64;
-        }
-
-        let mut report = StreamReport::new(
-            name.to_string(),
-            stream_names,
-            horizon_s,
-            col.makespan,
-            col.frames,
-            swaps,
-            core.per_acc().to_vec(),
-            *core.energy(),
-            core.peak_memory_bytes(),
-            scheduler_invocations,
-            schedule_cache_hits,
-            stats.placement_evals() - placement_before,
-            events_processed,
-            busy_spans,
-        );
-        if !self.report.is_exact() {
-            report.set_streaming(
-                self.report,
-                col.completed,
-                col.sketch,
-                aggs,
-                col.window_s,
-                util_windows,
-                col.miss_windows,
-            );
-        }
+        let placements = stats.placement_evals() - placement_before;
+        let aggs = rows.iter().map(|row| row.agg);
+        let report = col.finish(&mut core, aggs, placements, &mut profile);
         Ok((report, profile))
     }
 }
@@ -2021,7 +1816,7 @@ mod tests {
             name: "routed",
             horizon_s: scenario.horizon_s(),
             streams: scenario.streams(),
-            stream_names: names,
+            stream_names: &names,
             arrivals: &arrivals,
         };
         let replayed: Vec<Event> = RoutedTraceIter::new(&routed).collect();
@@ -2401,6 +2196,49 @@ mod tests {
             assert_eq!(p.fallback_scans > 0, fallback, "{gb} B");
             assert!(p.fallback_scans <= p.selections, "{gb} B");
             assert_eq!(work(&run().1), work(&p), "{gb} B");
+        }
+    }
+
+    #[test]
+    fn timers_never_change_the_work() {
+        // A swap, a chained stream, a deadline stream and two streams
+        // arriving together (batched admission) on a two-way chip, in
+        // both report modes: the untimed run does the timed run's work,
+        // counter for counter, and reports the same.
+        let scenario = Scenario::new("timers", 0.06)
+            .stream(
+                StreamSpec::periodic("a", tiny_workload(), 120.0)
+                    .swap_at(0.03, single_model(zoo::mobilenet_v2(), 1)),
+            )
+            .stream(StreamSpec::poisson("b", tiny_workload(), 90.0, 5).with_deadline(0.01))
+            .stream(StreamSpec::chained("c", tiny_workload(), 0.01, 0.004, 4))
+            .stream(StreamSpec::periodic("d", tiny_workload(), 120.0));
+        let acc = AcceleratorConfig::maelstrom(
+            AcceleratorClass::Edge.resources(),
+            herald_arch::Partition::even(2, 1024, 16.0),
+        )
+        .unwrap();
+        let cost = CostModel::default();
+        for mode in [ReportMode::Exact, ReportMode::sketch()] {
+            let sim = StreamSimulator::new(&acc, &cost).with_report_mode(mode);
+            let run = |timed| {
+                sim.run(&HeraldScheduler::default(), &scenario, timed)
+                    .unwrap()
+            };
+            let ((report, untimed), (timed_report, timed)) = (run(false), run(true));
+            assert_eq!(report, timed_report, "{mode:?}");
+            assert_eq!(report.swaps().len(), 1);
+            assert!(timed.run_ns > 0 && timed.harvest_ns > 0 && timed.compile_ns > 0);
+            assert!(timed.max_batch_events > 1, "{mode:?}");
+            let zeroed = HotPathProfile {
+                compile_ns: 0,
+                admit_ns: 0,
+                run_ns: 0,
+                harvest_ns: 0,
+                walk_ns: 0,
+                ..timed
+            };
+            assert_eq!(untimed, zeroed, "{mode:?}");
         }
     }
 

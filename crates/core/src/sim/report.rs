@@ -2,6 +2,8 @@
 //! deadline-miss rates and per-accelerator utilization over time.
 
 use crate::exec::AccSummary;
+use crate::sim::core::{EventCore, FrameResult, Timeline};
+use crate::sim::profile::HotPathProfile;
 use herald_cost::EnergyBreakdown;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -525,71 +527,6 @@ pub struct StreamReport {
 }
 
 impl StreamReport {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        scenario: String,
-        stream_names: Arc<Vec<String>>,
-        horizon_s: f64,
-        makespan_s: f64,
-        frames: Vec<FrameRecord>,
-        swaps: Vec<SwapRecord>,
-        per_acc: Vec<AccSummary>,
-        energy: EnergyBreakdown,
-        peak_memory_bytes: u64,
-        scheduler_invocations: usize,
-        schedule_cache_hits: usize,
-        placement_evaluations: u64,
-        events_processed: usize,
-        busy_spans: Vec<Vec<(f64, f64)>>,
-    ) -> Self {
-        Self {
-            scenario,
-            stream_names,
-            horizon_s,
-            makespan_s,
-            mode: ReportMode::Exact,
-            completed: frames.len() as u64,
-            frames,
-            swaps,
-            per_acc,
-            energy,
-            peak_memory_bytes,
-            scheduler_invocations,
-            schedule_cache_hits,
-            placement_evaluations,
-            events_processed,
-            busy_spans,
-            sketch: None,
-            stream_aggs: Vec::new(),
-            window_s: 0.0,
-            util_windows: Vec::new(),
-            miss_windows: Vec::new(),
-        }
-    }
-
-    /// Switches an exact-constructed report into sketch mode, attaching
-    /// the streaming aggregates the engine accumulated. `frames` then
-    /// holds sampled exemplars only and `completed` keeps the true count.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn set_streaming(
-        &mut self,
-        mode: ReportMode,
-        completed: u64,
-        sketch: QuantileSketch,
-        stream_aggs: Vec<StreamAgg>,
-        window_s: f64,
-        util_windows: Vec<f64>,
-        miss_windows: Vec<ArrivalWindow>,
-    ) {
-        self.mode = mode;
-        self.completed = completed;
-        self.sketch = Some(sketch);
-        self.stream_aggs = stream_aggs;
-        self.window_s = window_s;
-        self.util_windows = util_windows;
-        self.miss_windows = miss_windows;
-    }
-
     /// Name of the simulated scenario.
     #[must_use]
     pub fn scenario(&self) -> &str {
@@ -944,6 +881,191 @@ impl StreamReport {
     }
 }
 
+/// Fixed number of arrival/utilization windows a sketch-mode report
+/// keeps over the scenario horizon (each window is `horizon / 128`
+/// seconds; utilization windows grow past the horizon to cover the
+/// makespan).
+const SKETCH_WINDOWS: usize = 128;
+
+/// The collector stage of a streaming run: the [`StreamReport`] under
+/// construction. Exact mode keeps every frame record; sketch mode folds
+/// each completion into the quantile sketch, its stream's [`StreamAgg`]
+/// (kept in the engine's stream row) and the fixed arrival windows,
+/// keeping only sampled exemplar records. The busy spans never pass
+/// through here: the core records them at commit, in the [`Timeline`]
+/// this collector picks.
+pub(crate) struct Collector {
+    report: StreamReport,
+    sample_every: usize,
+}
+
+impl Collector {
+    pub(crate) fn new(
+        scenario: &str,
+        stream_names: Arc<Vec<String>>,
+        horizon_s: f64,
+        mode: ReportMode,
+    ) -> Self {
+        let (sketch, window_s, sample_every) = match mode {
+            ReportMode::Exact => (None, 0.0, 0),
+            ReportMode::Sketch {
+                relative_error,
+                sample_every,
+            } => (
+                Some(QuantileSketch::new(relative_error)),
+                horizon_s / SKETCH_WINDOWS as f64,
+                sample_every,
+            ),
+        };
+        let report = StreamReport {
+            scenario: scenario.to_string(),
+            stream_names,
+            horizon_s,
+            makespan_s: horizon_s,
+            mode,
+            completed: 0,
+            frames: Vec::new(),
+            swaps: Vec::new(),
+            per_acc: Vec::new(),
+            energy: EnergyBreakdown::default(),
+            peak_memory_bytes: 0,
+            scheduler_invocations: 0,
+            schedule_cache_hits: 0,
+            placement_evaluations: 0,
+            events_processed: 0,
+            busy_spans: Vec::new(),
+            sketch,
+            stream_aggs: Vec::new(),
+            window_s,
+            util_windows: Vec::new(),
+            miss_windows: Vec::new(),
+        };
+        Self {
+            report,
+            sample_every,
+        }
+    }
+
+    /// Where the core records each commit for this report: per-way span
+    /// lists in exact mode, utilization windows in sketch mode.
+    pub(crate) fn timeline(&self, ways: usize) -> Timeline {
+        match self.report.mode {
+            ReportMode::Exact => Timeline::Spans(vec![Vec::new(); ways]),
+            ReportMode::Sketch { .. } => Timeline::Windows {
+                window_s: self.report.window_s,
+                cells: Vec::new(),
+            },
+        }
+    }
+
+    pub(crate) fn swap(&mut self, record: SwapRecord) {
+        self.report.swaps.push(record);
+    }
+
+    /// Records one completed frame of `stream`; `agg` and `deadline_s`
+    /// (`f64::INFINITY` when none) come from the stream's row.
+    pub(crate) fn record(
+        &mut self,
+        stream: usize,
+        seq: usize,
+        workload: &Arc<str>,
+        done: &FrameResult,
+        agg: &mut StreamAgg,
+        deadline_s: f64,
+    ) {
+        let r = &mut self.report;
+        let (arrival_s, finish_s) = (done.arrival_s, done.finish_s);
+        r.completed += 1;
+        r.makespan_s = r.makespan_s.max(finish_s);
+        let latency_s = finish_s - arrival_s;
+        let missed = latency_s > deadline_s;
+        let has_deadline = deadline_s.is_finite();
+        let frame = || FrameRecord {
+            stream,
+            seq,
+            workload: Arc::clone(workload),
+            arrival_s,
+            finish_s,
+            latency_s,
+            deadline_s: has_deadline.then_some(deadline_s),
+            missed,
+            energy_j: done.energy.total_j(),
+        };
+        let Some(sketch) = &mut r.sketch else {
+            r.frames.push(frame());
+            return;
+        };
+        sketch.insert(latency_s);
+        agg.record(latency_s, has_deadline, missed);
+        if r.window_s > 0.0 {
+            let w = (arrival_s / r.window_s) as usize;
+            if w >= r.miss_windows.len() {
+                r.miss_windows.resize(w + 1, ArrivalWindow::default());
+            }
+            let win = &mut r.miss_windows[w];
+            win.frames += 1;
+            win.latency_sum_s += latency_s;
+            if has_deadline {
+                win.deadline_frames += 1;
+                if missed {
+                    win.missed += 1;
+                }
+            }
+        }
+        if self.sample_every > 0 && (r.completed - 1).is_multiple_of(self.sample_every as u64) {
+            r.frames.push(frame());
+        }
+    }
+
+    /// Builds the report once the run has drained: the frames in
+    /// (arrival, stream, seq) order, the core's timeline and chip totals,
+    /// the stream aggregates (sketch mode), and the schedule and event
+    /// counts the run kept in `profile`, whose byte accounting this adds.
+    pub(crate) fn finish(
+        self,
+        core: &mut EventCore<'_>,
+        aggs: impl Iterator<Item = StreamAgg>,
+        placement_evaluations: u64,
+        profile: &mut HotPathProfile,
+    ) -> StreamReport {
+        let mut r = self.report;
+        r.frames.sort_by(|a, b| {
+            a.arrival_s
+                .total_cmp(&b.arrival_s)
+                .then(a.stream.cmp(&b.stream))
+                .then(a.seq.cmp(&b.seq))
+        });
+        match core.take_timeline() {
+            Timeline::Spans(lists) => r.busy_spans = lists,
+            Timeline::Windows { cells, .. } => r.util_windows = cells,
+            Timeline::Entries => unreachable!("a stream run records spans or windows"),
+        }
+        r.per_acc = core.per_acc().to_vec();
+        r.energy = *core.energy();
+        r.peak_memory_bytes = core.peak_memory_bytes();
+        r.scheduler_invocations = profile.schedule_compiles as usize;
+        r.schedule_cache_hits = profile.schedule_cache_hits as usize;
+        r.placement_evaluations = placement_evaluations;
+        r.events_processed = profile.events as usize;
+        let mem = &mut profile.mem;
+        mem.frame_bytes = (r.frames.capacity() * std::mem::size_of::<FrameRecord>()) as u64;
+        mem.span_bytes = r
+            .busy_spans
+            .iter()
+            .map(|list| (list.capacity() * std::mem::size_of::<(f64, f64)>()) as u64)
+            .sum();
+        if let Some(sketch) = &r.sketch {
+            r.stream_aggs = aggs.collect();
+            mem.sketch_bytes = sketch.memory_bytes();
+            mem.agg_bytes = (r.stream_aggs.capacity() * std::mem::size_of::<StreamAgg>()
+                + r.util_windows.capacity() * std::mem::size_of::<f64>()
+                + r.miss_windows.capacity() * std::mem::size_of::<ArrivalWindow>())
+                as u64;
+        }
+        r
+    }
+}
+
 impl fmt::Display for StreamReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -1126,28 +1248,20 @@ mod tests {
     }
 
     fn report(frames: Vec<FrameRecord>) -> StreamReport {
-        StreamReport::new(
-            "test".into(),
-            Arc::new(vec!["s0".into(), "s1".into()]),
-            1.0,
-            2.0,
-            frames,
-            Vec::new(),
-            vec![AccSummary {
-                name: "acc0".into(),
-                layers: 0,
-                busy_s: 1.0,
-                finish_s: 2.0,
-                energy_j: 0.0,
-            }],
-            EnergyBreakdown::default(),
-            0,
-            0,
-            0,
-            0,
-            0,
-            vec![vec![(0.0, 1.0)]],
-        )
+        let names = Arc::new(vec!["s0".into(), "s1".into()]);
+        let mut r = Collector::new("test", names, 1.0, ReportMode::Exact).report;
+        r.makespan_s = 2.0;
+        r.completed = frames.len() as u64;
+        r.frames = frames;
+        r.per_acc = vec![AccSummary {
+            name: "acc0".into(),
+            layers: 0,
+            busy_s: 1.0,
+            finish_s: 2.0,
+            energy_j: 0.0,
+        }];
+        r.busy_spans = vec![vec![(0.0, 1.0)]];
+        r
     }
 
     #[test]
@@ -1391,15 +1505,12 @@ mod tests {
                 }
             }
         }
-        sk.set_streaming(
-            ReportMode::sketch(),
-            3,
-            sketch,
-            aggs,
-            window_s,
-            Vec::new(),
-            miss,
-        );
+        sk.mode = ReportMode::sketch();
+        sk.completed = 3;
+        sk.sketch = Some(sketch);
+        sk.stream_aggs = aggs;
+        sk.window_s = window_s;
+        sk.miss_windows = miss;
         assert_eq!(sk.completed(), 3);
         assert_eq!(sk.frames().len(), 0);
         assert_eq!(sk.throughput_fps(), exact.throughput_fps());
@@ -1549,15 +1660,11 @@ mod tests {
     fn sketch_utilization_timeline_rebins_stored_windows() {
         let mut r = report(Vec::new());
         // One accelerator, stored windows of 1 s: busy 1.0 s then 0.5 s.
-        r.set_streaming(
-            ReportMode::sketch(),
-            0,
-            QuantileSketch::new(0.01),
-            vec![StreamAgg::default(); 2],
-            1.0,
-            vec![1.0, 0.5],
-            Vec::new(),
-        );
+        r.mode = ReportMode::sketch();
+        r.sketch = Some(QuantileSketch::new(0.01));
+        r.stream_aggs = vec![StreamAgg::default(); 2];
+        r.window_s = 1.0;
+        r.util_windows = vec![1.0, 0.5];
         let timeline = r.utilization_timeline(0.5); // makespan 2.0
         assert_eq!(timeline.len(), 4);
         for w in &timeline[..2] {

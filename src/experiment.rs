@@ -529,42 +529,6 @@ impl Experiment {
         })
     }
 
-    /// [`Experiment::fleet`] plus the merged [`HotPathProfile`] of every
-    /// per-chip engine and the dispatch walk's own byte accounting
-    /// (`profile.mem`) — the fleet analogue of
-    /// [`Experiment::scenario_profiled`]. The outcome is bit-identical
-    /// to the unprofiled entry point; only the wall-clock phase timers
-    /// vary run to run.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Experiment::fleet`].
-    pub fn fleet_profiled(
-        mut self,
-        fleet: &FleetConfig,
-        scenario: &Scenario,
-    ) -> Result<(FleetOutcome, HotPathProfile), HeraldError> {
-        self.normalize();
-        let (report, profile) = FleetSimulator::new(fleet)
-            .with_scheduler(self.dse.scheduler)
-            .with_metric(self.dse.metric)
-            .with_policy(self.reschedule)
-            .with_dispatcher(self.dispatcher)
-            .with_admission(self.admission)
-            .with_report_mode(self.report)
-            .simulate_profiled(scenario)?;
-        Ok((
-            FleetOutcome {
-                scenario: scenario.name().to_string(),
-                policy: report.policy().to_string(),
-                chips: report.chip_names().to_vec(),
-                metric: self.dse.metric,
-                report,
-            },
-            profile,
-        ))
-    }
-
     /// Runs a streaming [`Scenario`] across a fleet *under closed-loop
     /// control*: a [`herald_core::controller::FleetController`] observes
     /// windowed per-chip telemetry at the cadence configured in
