@@ -123,13 +123,16 @@ fn main() -> Result<(), HeraldError> {
         ))
     };
 
-    let (baseline, _) = run(ReportMode::Exact, true, "baseline (exact + audit)")?;
+    let (baseline, base_profile) = run(ReportMode::Exact, true, "baseline (exact + audit)")?;
     let (streaming, stream_profile) = run(ReportMode::sketch(), false, "streaming (sketch)")?;
 
     // Scalar aggregates must be identical across report modes: the
-    // simulation is the same, only the retention differs.
+    // simulation is the same, only the retention differs, so both runs
+    // also commit the same tasks and the same frames in one pass.
     assert_eq!(baseline.frames, streaming.frames);
     assert_eq!(baseline.events, streaming.events);
+    assert_eq!(base_profile.commits, stream_profile.commits);
+    assert_eq!(base_profile.lone_frames, stream_profile.lone_frames);
     assert!(
         (baseline.miss_rate - streaming.miss_rate).abs() < 1e-15,
         "miss rate is exact in both modes: {} vs {}",
@@ -254,6 +257,7 @@ fn main() -> Result<(), HeraldError> {
 
     let wall_s = t0.elapsed().as_secs_f64();
     if args.profile && !json_mode {
+        print_profile("baseline megafleet run (all chips merged)", &base_profile);
         print_profile(
             "streaming megafleet run (all chips merged)",
             &stream_profile,
@@ -279,14 +283,17 @@ fn main() -> Result<(), HeraldError> {
                 "reduction_gate_x": REDUCTION_GATE_X,
                 "passes_reduction_gate": reduction_x >= REDUCTION_GATE_X,
                 // The golden differ skips the wall-clock throughputs
-                // (`*_per_second`) and compares the compile counters. The
+                // (`*_per_second`) and compares the work counters. The
                 // streaming run builds one cost table per workload per
-                // chip, so the two counters match.
+                // chip, so the two compile counters match; `commits` and
+                // `lone_frames` are the same in both runs.
                 "profile": serde_json::json!({
                     "baseline_events_per_second": baseline.events_per_second(),
                     "streaming_events_per_second": streaming.events_per_second(),
                     "schedule_compiles": stream_profile.schedule_compiles,
                     "cost_tables_built": stream_profile.cost_tables_built,
+                    "commits": stream_profile.commits,
+                    "lone_frames": stream_profile.lone_frames,
                 }),
             }),
             "sketch_check": serde_json::json!({

@@ -296,6 +296,10 @@ pub fn print_profile(title: &str, p: &HotPathProfile) {
         p.commits, p.selections, p.fallback_scans, p.head_scans
     );
     println!(
+        "  lone frames {} (committed in one pass)  lone declines {}",
+        p.lone_frames, p.lone_declines
+    );
+    println!(
         "  phase ns: compile {}  admit {}  run {}  harvest {}  walk {}",
         p.compile_ns, p.admit_ns, p.run_ns, p.harvest_ns, p.walk_ns
     );

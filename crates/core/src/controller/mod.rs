@@ -354,12 +354,6 @@ pub struct ControlView<'a> {
 }
 
 impl ControlView<'_> {
-    /// Number of live chips.
-    #[must_use]
-    pub fn active_chips(&self) -> usize {
-        self.chips.iter().filter(|c| c.active).count()
-    }
-
     /// Predicted single-frame service time of `stream`'s *current*
     /// workload version on `config`, seconds — the service-estimate
     /// surrogate, read from the run's one estimator, the same cells the

@@ -232,11 +232,6 @@ impl Hasher for FingerprintHasher {
 }
 
 impl ScheduleFingerprint {
-    /// The raw 128 bits, for diagnostics.
-    pub fn to_words(self) -> [u64; 2] {
-        self.0
-    }
-
     /// Fingerprints the live scheduling inputs without building a
     /// [`ScheduleKey`] (no allocation; the graph's structural section is
     /// cached inside the [`TaskGraph`] after the first call).
@@ -903,17 +898,6 @@ impl EvalContext {
     /// memo and zeroed counters.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a context around a specific cost-model configuration.
-    pub fn with_cost_model(cost: CostModel) -> Self {
-        Self {
-            inner: Arc::new(CtxInner {
-                cost,
-                stats: EvalStats::default(),
-                schedules: ScheduleState::default(),
-            }),
-        }
     }
 
     /// The shared cost model (memoized per layer/style/slice query).

@@ -583,20 +583,6 @@ impl DseEngine {
     ) -> Result<ExecutionReport, HeraldError> {
         self.evaluate_config(workload, &point.config)
     }
-
-    /// [`DseEngine::reschedule`] against a shared [`EvalContext`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DseEngine::evaluate_config`].
-    pub fn reschedule_in(
-        &self,
-        ctx: &EvalContext,
-        workload: &MultiDnnWorkload,
-        point: &DesignPoint,
-    ) -> Result<ExecutionReport, HeraldError> {
-        self.evaluate_config_in(ctx, workload, &point.config)
-    }
 }
 
 #[cfg(test)]

@@ -35,12 +35,20 @@
 //! stream report, or the span's overlap with each utilization window for
 //! a sketch report. A way runs its tasks back to back, so its span list
 //! needs no sort afterwards.
+//!
+//! A frame that arrives with nothing in flight can skip selection and the
+//! head table altogether ([`EventCore::commit_alone`]): alone on the chip,
+//! its commits follow the [`LoneProgram`] of its schedule, and their
+//! starts follow from its arrival, its dependences and the ways' free
+//! times. The core takes that path only when it provably makes the very
+//! commits the loop would make before the next trace event.
 
 use super::profile::HotPathProfile;
 use crate::exec::{AccSummary, ExecutionReport, Schedule, ScheduleEntry, SimError};
 use crate::task::{TaskGraph, TaskId};
 use herald_arch::AcceleratorConfig;
 use herald_cost::{CostModel, EnergyBreakdown, LayerCost, Metric};
+use herald_dataflow::DataflowStyle;
 use std::sync::Arc;
 
 /// The fraction of the global buffer available for staging one layer's
@@ -223,6 +231,105 @@ pub(crate) struct FrameResult {
     pub energy: EnergyBreakdown,
 }
 
+/// What one commit books from its task's [`LayerCost`].
+#[derive(Clone, Copy)]
+struct CommitCost {
+    latency_s: f64,
+    /// Buffer occupancy under the chip's staging cap.
+    occ: u64,
+    energy: EnergyBreakdown,
+    style: DataflowStyle,
+}
+
+impl CommitCost {
+    fn new(cost: &LayerCost, staging_cap: u64) -> Self {
+        Self {
+            latency_s: cost.latency_s,
+            occ: cost.buffer.occupancy_bytes(staging_cap),
+            energy: cost.energy,
+            style: cost.style,
+        }
+    }
+}
+
+/// One step of a [`LoneProgram`].
+struct LoneStep {
+    task: u32,
+    way: u32,
+    /// The step's dependences: `LoneProgram::deps[deps.0..deps.1]`, in
+    /// the graph's dependence order.
+    deps: (u32, u32),
+    cost: CommitCost,
+}
+
+/// A compiled schedule's commit order when its frame runs alone on the
+/// chip, for [`EventCore::commit_alone`]: one step per task in the order a
+/// single-frame replay commits them, each dependence as the index of an
+/// earlier step, and the frame's energy summed in step order.
+pub(crate) struct LoneProgram {
+    steps: Vec<LoneStep>,
+    deps: Vec<u32>,
+    energy: EnergyBreakdown,
+    /// The last step's start in the replay from 0 on an idle chip. A
+    /// later arrival or busy ways only delay each step, so the last start
+    /// of a frame arriving at `a` is at least `a` plus this, up to
+    /// rounding.
+    last_start_s: f64,
+}
+
+impl LoneProgram {
+    /// Replays one frame of `schedule` alone on `acc` from time 0 and
+    /// keeps its commit order. `None` when the core rejects the schedule
+    /// or deadlocks on it: its frames then meet the same error on the
+    /// regular path.
+    pub(crate) fn new(
+        acc: &AcceleratorConfig,
+        graph: &TaskGraph,
+        schedule: &Schedule,
+        costs: &CostTable,
+        max_occ: u64,
+    ) -> Option<Self> {
+        let mut core = EventCore::new(acc);
+        let slot = core
+            .admit_with_costs(
+                GraphRef::Borrowed(graph),
+                ScheduleRef::Borrowed(schedule),
+                Arc::clone(costs),
+                max_occ,
+                0.0,
+            )
+            .ok()?;
+        core.run_until(f64::INFINITY).ok()?;
+        let frame = core.take_frame(slot);
+        let mut step_of = vec![0u32; graph.len()];
+        for (i, e) in frame.entries.iter().enumerate() {
+            step_of[e.task.0] = i as u32;
+        }
+        let staging_cap = core.staging_cap();
+        let mut deps = Vec::new();
+        let steps = frame
+            .entries
+            .iter()
+            .map(|e| {
+                let first = deps.len() as u32;
+                deps.extend(graph.deps(e.task).iter().map(|d| step_of[d.0]));
+                LoneStep {
+                    task: e.task.0 as u32,
+                    way: e.acc as u32,
+                    deps: (first, deps.len() as u32),
+                    cost: CommitCost::new(&costs[e.task.0], staging_cap),
+                }
+            })
+            .collect();
+        Some(Self {
+            steps,
+            deps,
+            energy: frame.energy,
+            last_start_s: frame.entries.last().map_or(0.0, |e| e.start_s),
+        })
+    }
+}
+
 /// The event-driven simulation core shared by one-shot replay and
 /// streaming scenarios.
 pub(crate) struct EventCore<'a> {
@@ -297,6 +404,14 @@ pub(crate) struct EventCore<'a> {
     head_scans: u64,
     /// Selections settled by the memory-aware flat scan.
     fallback_scans: u64,
+    /// Frames [`EventCore::commit_alone`] committed, and the ones it
+    /// planned and then declined.
+    lone_frames: u64,
+    lone_declines: u64,
+    /// [`EventCore::commit_alone`]'s scratch: each step's planned
+    /// `(start, finish)`, and each way's free time as planned so far.
+    lone_plan: Vec<(f64, f64)>,
+    lone_free: Vec<f64>,
     per_acc: Vec<AccSummary>,
     energy: EnergyBreakdown,
     peak_mem: u64,
@@ -347,6 +462,10 @@ impl<'a> EventCore<'a> {
             selections: 0,
             head_scans: 0,
             fallback_scans: 0,
+            lone_frames: 0,
+            lone_declines: 0,
+            lone_plan: Vec::new(),
+            lone_free: Vec::new(),
             per_acc,
             energy: EnergyBreakdown::default(),
             peak_mem: 0,
@@ -362,6 +481,15 @@ impl<'a> EventCore<'a> {
     /// Staging cap per layer: the global-buffer share one layer may pin.
     fn staging_cap(&self) -> u64 {
         self.acc.global_buffer_bytes() / STAGING_FRACTION
+    }
+
+    /// A frame's empty [`ScheduleEntry`] list: sized for its `tasks`
+    /// under [`Timeline::Entries`], unallocated under any other timeline.
+    fn entry_rows(&self, tasks: usize) -> Vec<ScheduleEntry> {
+        match self.timeline {
+            Timeline::Entries => Vec::with_capacity(tasks),
+            Timeline::Spans(_) | Timeline::Windows { .. } => Vec::new(),
+        }
     }
 
     /// Admits a frame at `arrival_s` with its cost table, which must have
@@ -420,10 +548,7 @@ impl<'a> EventCore<'a> {
                 vec![None; remaining]
             }
         };
-        let entries = match self.timeline {
-            Timeline::Entries => Vec::with_capacity(remaining),
-            Timeline::Spans(_) | Timeline::Windows { .. } => Vec::new(),
-        };
+        let entries = self.entry_rows(remaining);
         let state = FrameState {
             graph,
             schedule,
@@ -472,6 +597,8 @@ impl<'a> EventCore<'a> {
         profile.selections = self.selections;
         profile.head_scans = self.head_scans;
         profile.fallback_scans = self.fallback_scans;
+        profile.lone_frames = self.lone_frames;
+        profile.lone_declines = self.lone_declines;
     }
 
     /// Recomputes the head-table entries of the frame in `slot` on every
@@ -712,22 +839,130 @@ impl<'a> EventCore<'a> {
 
     fn commit(&mut self, start: f64, fi: usize, a: usize, t: TaskId) {
         self.best_cache = None;
-        self.commits += 1;
         let staging_cap = self.staging_cap();
-        // Copy the committed task's cost scalars out first so the frame
-        // can be mutably borrowed below.
-        let (dur, occ, style, energy) = {
-            let cost = &self.frames[fi]
-                .as_ref()
-                .expect("commit targets an in-flight frame")
-                .costs[t.0];
-            (
-                cost.latency_s,
-                cost.buffer.occupancy_bytes(staging_cap),
-                cost.style,
-                cost.energy,
-            )
-        };
+        let frame = self.frames[fi]
+            .as_mut()
+            .expect("commit targets an in-flight frame");
+        let cost = CommitCost::new(&frame.costs[t.0], staging_cap);
+        // The rows move out while `book` borrows the whole core.
+        let mut entries = std::mem::take(&mut frame.entries);
+        let fin = self.book(start, a, t, &cost, &mut entries);
+        let frame = self.frames[fi]
+            .as_mut()
+            .expect("commit targets an in-flight frame");
+        frame.entries = entries;
+        frame.finish[t.0] = Some(fin);
+        frame.head[a] += 1;
+        frame.remaining -= 1;
+        frame.finish_s = frame.finish_s.max(fin);
+        frame.energy = frame.energy.plus(&cost.energy);
+        self.remaining_total -= 1;
+        // Way `a` has a new head, and `t`'s finish may unblock the
+        // frame's blocked heads; every other entry of every frame keeps
+        // its value.
+        self.refresh_heads(fi, |way, head| way == a || head == BLOCKED);
+    }
+
+    /// Commits a whole frame arriving at `arrival_s` in one pass, if it
+    /// runs alone until `until` (the next trace event), and returns its
+    /// result; `None`, with the core untouched, otherwise.
+    ///
+    /// It acts only when no frame is in flight and `ways × max(occ_cap,
+    /// max_occ)` fits the global buffer. Every interval a way holds then
+    /// pins at most that cap, so at a head's ready time (when its own way
+    /// is free) the buffer fits it: the buffer cannot bind, and each
+    /// step's start is the max of the arrival, its dependences' finishes
+    /// and its way's free time, as `select_best` computes it. If the
+    /// planned steps come out in strictly increasing (start, way) order,
+    /// each is the selection's first strict minimum among the heads it
+    /// competes with, since a head's planned start is its start at every
+    /// earlier selection too. So the plan is the loop's commit sequence,
+    /// with the same floating-point operations. If, also, no step starts
+    /// after `until`, every commit starts at or before any later frame's
+    /// arrival, and a tie with that frame goes to this earlier admission,
+    /// so no later frame can take a commit first.
+    ///
+    /// `max_occ` is the program's table's [`max_occupancy`].
+    pub(crate) fn commit_alone(
+        &mut self,
+        program: &LoneProgram,
+        max_occ: u64,
+        arrival_s: f64,
+        until: f64,
+    ) -> Option<FrameResult> {
+        let ways = self.acc_free.len();
+        let occ_cap = self.occ_cap.max(max_occ);
+        if self.remaining_total > 0
+            || (ways as u64).saturating_mul(occ_cap) > self.acc.global_buffer_bytes()
+        {
+            return None;
+        }
+        // A frame whose last step starts after `until` even on an idle
+        // chip needs no plan. Where rounding makes this bound decline a
+        // frame the plan would take, the regular path commits it the same
+        // way.
+        if arrival_s + program.last_start_s > until {
+            return None;
+        }
+        debug_assert!(
+            arrival_s >= self.clock,
+            "frame arrives at {arrival_s}, before the clock {}",
+            self.clock
+        );
+        self.lone_plan.clear();
+        self.lone_free.clone_from(&self.acc_free);
+        let mut last: Option<(f64, usize)> = None;
+        for step in &program.steps {
+            let a = step.way as usize;
+            let head = program.deps[step.deps.0 as usize..step.deps.1 as usize]
+                .iter()
+                .fold(arrival_s, |ready, &d| {
+                    ready.max(self.lone_plan[d as usize].1)
+                });
+            let start = head.max(self.lone_free[a]);
+            let in_order = last.is_none_or(|(s, w)| start > s || (start == s && a > w));
+            if !in_order || start > until {
+                self.lone_declines += 1;
+                return None;
+            }
+            let fin = start + step.cost.latency_s;
+            self.lone_plan.push((start, fin));
+            self.lone_free[a] = fin;
+            last = Some((start, a));
+        }
+        let mut entries = self.entry_rows(program.steps.len());
+        let mut finish_s = arrival_s;
+        for (i, step) in program.steps.iter().enumerate() {
+            let start = self.lone_plan[i].0;
+            let (a, t) = (step.way as usize, TaskId(step.task as usize));
+            finish_s = finish_s.max(self.book(start, a, t, &step.cost, &mut entries));
+        }
+        // Nothing was in flight before and nothing is after, so a memoized
+        // selection (none) stays valid.
+        self.occ_cap = occ_cap;
+        self.lone_frames += 1;
+        Some(FrameResult {
+            arrival_s,
+            finish_s,
+            entries,
+            energy: program.energy,
+        })
+    }
+
+    /// The bookkeeping of a commit outside its frame: the clock, the
+    /// way's free time and occupancy, peak memory, the timeline (an
+    /// [`Timeline::Entries`] row goes to `entries`), the per-way summary
+    /// and the chip's energy. Returns the task's finish.
+    fn book(
+        &mut self,
+        start: f64,
+        a: usize,
+        t: TaskId,
+        cost: &CommitCost,
+        entries: &mut Vec<ScheduleEntry>,
+    ) -> f64 {
+        self.commits += 1;
+        let (dur, occ, energy) = (cost.latency_s, cost.occ, cost.energy);
         let fin = start + dur;
         debug_assert!(start >= self.clock, "commit at {start} before the clock");
         // Way `a`'s previous interval ends at `acc_free[a] <= start`, so
@@ -747,21 +982,13 @@ impl<'a> EventCore<'a> {
         #[cfg(debug_assertions)]
         self.prune_log();
 
-        let frame = self.frames[fi]
-            .as_mut()
-            .expect("commit targets an in-flight frame");
-        frame.finish[t.0] = Some(fin);
-        frame.head[a] += 1;
-        frame.remaining -= 1;
-        frame.finish_s = frame.finish_s.max(fin);
-        frame.energy = frame.energy.plus(&energy);
         match &mut self.timeline {
-            Timeline::Entries => frame.entries.push(ScheduleEntry {
+            Timeline::Entries => entries.push(ScheduleEntry {
                 task: t,
                 acc: a,
                 start_s: start,
                 finish_s: fin,
-                style,
+                style: cost.style,
                 energy_j: energy.total_j(),
             }),
             Timeline::Spans(lists) => lists[a].push((start, fin)),
@@ -784,17 +1011,12 @@ impl<'a> EventCore<'a> {
                 }
             }
         }
-        self.remaining_total -= 1;
-        // Way `a` has a new head, and `t`'s finish may unblock the
-        // frame's blocked heads; every other entry of every frame keeps
-        // its value.
-        self.refresh_heads(fi, |way, head| way == a || head == BLOCKED);
-
         self.per_acc[a].layers += 1;
         self.per_acc[a].busy_s += dur;
         self.per_acc[a].finish_s = fin;
         self.per_acc[a].energy_j += energy.total_j();
         self.energy = self.energy.plus(&energy);
+        fin
     }
 
     /// Debug builds: drops logged intervals that no future query can
@@ -1746,5 +1968,221 @@ mod tests {
             };
             assert_eq!(entries(&whole), entries(&core), "slot {slot}");
         }
+    }
+
+    /// Every observable a commit changes, as text: `Debug` prints each
+    /// float in full, so equal text means equal bits.
+    fn observables(core: &EventCore<'_>) -> String {
+        let timeline = match &core.timeline {
+            Timeline::Entries => String::new(),
+            Timeline::Spans(lists) => format!("{lists:?}"),
+            Timeline::Windows { window_s, cells } => format!("{window_s:?} {cells:?}"),
+        };
+        format!(
+            "{:?} {:?} {:?} {} {:?} {:?} {} {} {} {timeline}",
+            core.acc_free,
+            core.way_occ,
+            core.clock,
+            core.peak_memory_bytes(),
+            core.per_acc(),
+            core.energy(),
+            core.commits,
+            core.occ_cap,
+            core.remaining_total,
+        )
+    }
+
+    fn frame_text(f: &FrameResult) -> String {
+        format!(
+            "{:?} {:?} {:?} {:?}",
+            f.arrival_s, f.finish_s, f.entries, f.energy
+        )
+    }
+
+    /// A random job on `acc`; on the `grid`, every latency is a whole
+    /// number of seconds, 1 or 2.
+    fn random_job(
+        rng: &mut SplitMix64,
+        acc: &AcceleratorConfig,
+        cost: &CostModel,
+        grid: bool,
+    ) -> (TaskGraph, Schedule, CostTable) {
+        let graph = TaskGraph::new(&random_workload(rng));
+        let schedule = random_schedule(rng, &graph, acc.sub_accelerators().len());
+        let mut costs = build_cost_table(&graph, &schedule, acc, cost, Metric::Edp).to_vec();
+        if grid {
+            for c in &mut costs {
+                c.latency_s = rng.gen_range(1, 3) as f64;
+            }
+        }
+        (graph, schedule, costs.into())
+    }
+
+    /// A fresh core recording into timeline `kind`: entries, spans, or
+    /// windows of `window_s`.
+    fn core_with(acc: &AcceleratorConfig, kind: usize, window_s: f64) -> EventCore<'_> {
+        let timeline = match kind {
+            0 => Timeline::Entries,
+            1 => Timeline::Spans(vec![Vec::new(); acc.sub_accelerators().len()]),
+            _ => Timeline::Windows {
+                window_s,
+                cells: Vec::new(),
+            },
+        };
+        EventCore::with_timeline(acc, timeline)
+    }
+
+    /// [`core_with`] after `prior` ran to completion from 0 and was
+    /// taken: its tail may still run.
+    fn after_prior<'a>(
+        acc: &'a AcceleratorConfig,
+        kind: usize,
+        window_s: f64,
+        prior: &'a (TaskGraph, Schedule, CostTable),
+    ) -> EventCore<'a> {
+        let mut core = core_with(acc, kind, window_s);
+        let (graph, schedule, costs) = prior;
+        let slot = core
+            .admit_with_costs(
+                GraphRef::Borrowed(graph),
+                ScheduleRef::Borrowed(schedule),
+                costs.clone(),
+                max_occupancy(acc, costs),
+                0.0,
+            )
+            .unwrap();
+        core.run_until(f64::INFINITY).unwrap();
+        core.take_frame(slot);
+        core
+    }
+
+    #[test]
+    fn commit_alone_matches_the_commit_loop() {
+        // Oracle: a twin core admits the same frame and runs the commit
+        // loop up to `until`. Random workloads and schedules on 2-6 ways
+        // and three buffer sizes, each frame arriving while a previous
+        // frame's tail may still run; in half the cases every latency is
+        // a whole number of seconds, so starts tie across ways, with the
+        // tail and with `until`. On accept, the frame and every
+        // observable of the core must equal the twin's, bit for bit; on
+        // decline, the core must be unchanged.
+        use herald_arch::{HardwareResources, Partition};
+
+        let mut rng = SplitMix64::seed_from_u64(0x10E_F4A3_2026);
+        let cost = CostModel::default();
+        let mut accepted = 0;
+        let (mut with_tail, mut at_arrival, mut below_last) = (0, 0, 0);
+        let (mut gated, mut in_flight, mut order_declines, mut signed_zero) = (0, 0, 0, 0);
+        for case in 0..64 {
+            let ways = rng.gen_range(2, 7);
+            let gb: u64 = [4 << 20, 64 << 10, 16 << 10][rng.gen_range(0, 3)];
+            let res = HardwareResources::new(1024, 16.0, gb);
+            let acc = if ways <= DataflowStyle::ALL.len() {
+                let partition = Partition::even(ways, res.pes, res.bandwidth_gbps);
+                AcceleratorConfig::hda(&DataflowStyle::ALL[..ways], res, partition).unwrap()
+            } else {
+                AcceleratorConfig::sm_fda(DataflowStyle::Nvdla, ways, res).unwrap()
+            };
+            let grid = rng.gen_range(0, 2) == 0;
+            let prior = random_job(&mut rng, &acc, &cost, grid);
+            let (graph, schedule, costs) = random_job(&mut rng, &acc, &cost, grid);
+            let max_occ = max_occupancy(&acc, &costs);
+            let program = LoneProgram::new(&acc, &graph, &schedule, &costs, max_occ).unwrap();
+            let admit = |core: &mut EventCore<'_>, arrival_s: f64| {
+                core.admit_with_costs(
+                    GraphRef::Shared(Arc::new(graph.clone())),
+                    ScheduleRef::Shared(Arc::new(schedule.clone())),
+                    costs.clone(),
+                    max_occ,
+                    arrival_s,
+                )
+                .unwrap()
+            };
+            let tick = costs.iter().map(|c| c.latency_s).sum::<f64>() / costs.len() as f64;
+            let window_s = tick.max(0.5);
+
+            // The arrival, somewhere in the prior frame's tail or after.
+            let probe = after_prior(&acc, 0, window_s, &prior);
+            let tail_end = probe.acc_free.iter().copied().fold(probe.clock, f64::max);
+            let arrival = if grid {
+                probe.clock + rng.gen_range(0, 4) as f64
+            } else {
+                probe.clock + (tail_end - probe.clock) * rng.gen_range(0, 12) as f64 / 8.0
+            };
+            let mut probe = probe;
+            let slot = admit(&mut probe, arrival);
+            probe.run_until(f64::INFINITY).unwrap();
+            let last_start = probe.take_frame(slot).entries.last().unwrap().start_s;
+            let untils = [
+                f64::INFINITY,
+                arrival,
+                last_start,
+                last_start.next_down(),
+                (arrival + last_start) / 2.0,
+            ];
+            for kind in 0..3 {
+                for until in untils {
+                    let mut lone = after_prior(&acc, kind, window_s, &prior);
+                    let mut twin = after_prior(&acc, kind, window_s, &prior);
+                    let before = observables(&lone);
+                    let tail = lone.acc_free.iter().any(|&f| f > arrival);
+                    let result = lone.commit_alone(&program, max_occ, arrival, until);
+                    let slot = admit(&mut twin, arrival);
+                    twin.run_until(until).unwrap();
+                    let label = format!("case {case}, timeline {kind}, until {until}");
+                    let Some(done) = result else {
+                        assert_eq!(observables(&lone), before, "{label}");
+                        below_last += usize::from(until < last_start);
+                        if (ways as u64) * lone.occ_cap.max(max_occ) > gb {
+                            gated += 1;
+                        } else if until >= last_start {
+                            order_declines += 1;
+                        }
+                        continue;
+                    };
+                    assert!(until >= last_start, "{label}: a start lies past until");
+                    assert!(twin.frame_done(slot), "{label}");
+                    assert_eq!(
+                        frame_text(&done),
+                        frame_text(&twin.take_frame(slot)),
+                        "{label}"
+                    );
+                    assert_eq!(observables(&lone), observables(&twin), "{label}");
+                    accepted += 1;
+                    with_tail += usize::from(tail);
+                    at_arrival += usize::from(until == arrival);
+                }
+                // The first frame of a run arriving at -0.0, a time trace
+                // validation accepts: the signed zeros are the loop's.
+                let mut lone = core_with(&acc, kind, window_s);
+                if let Some(done) = lone.commit_alone(&program, max_occ, -0.0, f64::INFINITY) {
+                    let mut twin = core_with(&acc, kind, window_s);
+                    let slot = admit(&mut twin, -0.0);
+                    twin.run_until(f64::INFINITY).unwrap();
+                    let expected = twin.take_frame(slot);
+                    assert_eq!(frame_text(&done), frame_text(&expected), "case {case}");
+                    assert_eq!(observables(&lone), observables(&twin), "case {case}");
+                    signed_zero += 1;
+                }
+                // A frame still in flight: the core declines, unchanged.
+                let mut busy = after_prior(&acc, kind, window_s, &prior);
+                admit(&mut busy, arrival);
+                let before = observables(&busy);
+                assert!(busy
+                    .commit_alone(&program, max_occ, arrival, f64::INFINITY)
+                    .is_none());
+                assert_eq!(observables(&busy), before, "case {case}");
+                in_flight += 1;
+            }
+        }
+        assert!(
+            accepted > 0 && with_tail > 0 && at_arrival > 0,
+            "{accepted} {with_tail} {at_arrival}"
+        );
+        assert!(
+            below_last > 0 && gated > 0 && in_flight > 0 && order_declines > 0,
+            "{below_last} {gated} {in_flight} {order_declines}"
+        );
+        assert!(signed_zero > 0);
     }
 }

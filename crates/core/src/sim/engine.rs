@@ -20,7 +20,7 @@ use crate::ctx::{EvalContext, EvalStats};
 use crate::error::HeraldError;
 use crate::sched::Scheduler;
 use crate::sim::core::{
-    build_cost_table, max_occupancy, CostTable, EventCore, GraphRef, ScheduleRef,
+    build_cost_table, max_occupancy, CostTable, EventCore, GraphRef, LoneProgram, ScheduleRef,
 };
 use crate::sim::profile::HotPathProfile;
 use crate::sim::report::{Collector, ReportMode, StreamAgg, StreamReport, SwapRecord};
@@ -463,11 +463,13 @@ impl Iterator for RoutedTraceIter<'_> {
 
 /// A compiled schedule with everything a frame admission needs: the
 /// schedule, its cost table and the table's [`max_occupancy`], shared by
-/// every frame admitted against it through two pointer bumps.
+/// every frame admitted against it through two pointer bumps, and the
+/// schedule's [`LoneProgram`] (`None` when the core rejects the schedule).
 struct CompiledSchedule {
     schedule: Arc<crate::sched::Schedule>,
     costs: CostTable,
     max_occ: u64,
+    lone: Option<LoneProgram>,
     /// Whether this is a workload's interned entry, which any number of
     /// rows may point at. Other entries (only a non-deterministic
     /// scheduler makes them) belong to one row and go back to the pool's
@@ -618,8 +620,10 @@ impl<'w, S: Scheduler> Compiler<'_, 'w, S> {
         let costs = build_cost_table(&workload.graph, &schedule, self.acc, self.cost, self.metric);
         profile.cost_tables_built += 1;
         profile.cost_table_entries += costs.len() as u64;
+        let max_occ = max_occupancy(self.acc, &costs);
         let entry = CompiledSchedule {
-            max_occ: max_occupancy(self.acc, &costs),
+            lone: LoneProgram::new(self.acc, &workload.graph, &schedule, &costs, max_occ),
+            max_occ,
             schedule,
             costs,
             interned: workload.compiled.is_none(),
@@ -861,33 +865,58 @@ impl<'r, 'w, S: Scheduler, I: Iterator<Item = Event>> Run<'r, 'w, S, I> {
                 if let Some(t0) = t0 {
                     self.profile.compile_ns += t0.elapsed().as_nanos() as u64;
                 }
-                let t0 = self.timed.then(Instant::now);
+                self.profile.admissions += 1;
                 let entry = &self.compiler.pool[compiled as usize];
-                let handle = self
-                    .core
-                    .admit_with_costs(
-                        GraphRef::Shared(Arc::clone(
-                            &self.compiler.workloads[workload as usize].graph,
-                        )),
-                        ScheduleRef::Shared(Arc::clone(&entry.schedule)),
-                        Arc::clone(&entry.costs),
-                        entry.max_occ,
-                        event.t,
-                    )
-                    .map_err(HeraldError::Simulation)?;
+                // A frame that runs alone until the next event commits in
+                // one pass and goes straight to the collector: nothing is
+                // pending when nothing is in flight, so it is recorded
+                // exactly where its harvest would have recorded it.
+                // Chained runs never take this path, since a completion
+                // there injects an arrival the next event does not bound.
+                let t0 = self.timed.then(Instant::now);
+                let alone = match &entry.lone {
+                    Some(program) if self.chains.is_empty() => {
+                        let until = self.source.peek().map_or(f64::INFINITY, |e| e.t);
+                        self.core
+                            .commit_alone(program, entry.max_occ, event.t, until)
+                    }
+                    _ => None,
+                };
+                if let Some(done) = &alone {
+                    let name = &self.compiler.workloads[workload as usize].name;
+                    self.col
+                        .record(event.stream, seq, name, done, &mut row.agg, row.deadline_s);
+                }
+                if let Some(t0) = t0 {
+                    self.profile.run_ns += t0.elapsed().as_nanos() as u64;
+                }
+                if alone.is_none() {
+                    let t0 = self.timed.then(Instant::now);
+                    let handle = self
+                        .core
+                        .admit_with_costs(
+                            GraphRef::Shared(Arc::clone(
+                                &self.compiler.workloads[workload as usize].graph,
+                            )),
+                            ScheduleRef::Shared(Arc::clone(&entry.schedule)),
+                            Arc::clone(&entry.costs),
+                            entry.max_occ,
+                            event.t,
+                        )
+                        .map_err(HeraldError::Simulation)?;
+                    if let Some(t0) = t0 {
+                        self.profile.admit_ns += t0.elapsed().as_nanos() as u64;
+                    }
+                    self.pending.push(PendingFrame {
+                        handle: handle as u32,
+                        stream: event.stream as u32,
+                        seq: seq as u32,
+                        workload,
+                    });
+                }
                 if self.policy == ReschedulePolicy::FullReschedule {
                     self.compiler.release(compiled);
                 }
-                if let Some(t0) = t0 {
-                    self.profile.admit_ns += t0.elapsed().as_nanos() as u64;
-                }
-                self.profile.admissions += 1;
-                self.pending.push(PendingFrame {
-                    handle: handle as u32,
-                    stream: event.stream as u32,
-                    seq: seq as u32,
-                    workload,
-                });
             }
             EventKind::Swap { swap_index } => {
                 let swap = &self.specs[event.stream].swaps()[swap_index];
@@ -2201,11 +2230,13 @@ mod tests {
 
     #[test]
     fn timers_never_change_the_work() {
-        // A swap, a chained stream, a deadline stream and two streams
-        // arriving together (batched admission) on a two-way chip, in
-        // both report modes: the untimed run does the timed run's work,
-        // counter for counter, and reports the same.
-        let scenario = Scenario::new("timers", 0.06)
+        // Two scenarios on a two-way chip, in both report modes: a swap,
+        // a chained stream, a deadline stream and two streams arriving
+        // together (batched admission); and sparse streams whose frames
+        // mostly run alone, so they commit in one pass on arrival. The
+        // untimed run does the timed run's work, counter for counter, and
+        // reports the same.
+        let busy = Scenario::new("timers", 0.06)
             .stream(
                 StreamSpec::periodic("a", tiny_workload(), 120.0)
                     .swap_at(0.03, single_model(zoo::mobilenet_v2(), 1)),
@@ -2213,32 +2244,42 @@ mod tests {
             .stream(StreamSpec::poisson("b", tiny_workload(), 90.0, 5).with_deadline(0.01))
             .stream(StreamSpec::chained("c", tiny_workload(), 0.01, 0.004, 4))
             .stream(StreamSpec::periodic("d", tiny_workload(), 120.0));
+        let sparse = Scenario::new("sparse", 0.3)
+            .stream(
+                StreamSpec::periodic("a", tiny_workload(), 20.0)
+                    .swap_at(0.15, single_model(zoo::mobilenet_v2(), 1)),
+            )
+            .stream(StreamSpec::poisson("b", tiny_workload(), 20.0, 5).with_deadline(0.01));
         let acc = AcceleratorConfig::maelstrom(
             AcceleratorClass::Edge.resources(),
             herald_arch::Partition::even(2, 1024, 16.0),
         )
         .unwrap();
         let cost = CostModel::default();
-        for mode in [ReportMode::Exact, ReportMode::sketch()] {
-            let sim = StreamSimulator::new(&acc, &cost).with_report_mode(mode);
-            let run = |timed| {
-                sim.run(&HeraldScheduler::default(), &scenario, timed)
-                    .unwrap()
-            };
-            let ((report, untimed), (timed_report, timed)) = (run(false), run(true));
-            assert_eq!(report, timed_report, "{mode:?}");
-            assert_eq!(report.swaps().len(), 1);
-            assert!(timed.run_ns > 0 && timed.harvest_ns > 0 && timed.compile_ns > 0);
-            assert!(timed.max_batch_events > 1, "{mode:?}");
-            let zeroed = HotPathProfile {
-                compile_ns: 0,
-                admit_ns: 0,
-                run_ns: 0,
-                harvest_ns: 0,
-                walk_ns: 0,
-                ..timed
-            };
-            assert_eq!(untimed, zeroed, "{mode:?}");
+        for (scenario, alone) in [(&busy, false), (&sparse, true)] {
+            for mode in [ReportMode::Exact, ReportMode::sketch()] {
+                let label = format!("{} {mode:?}", scenario.name());
+                let sim = StreamSimulator::new(&acc, &cost).with_report_mode(mode);
+                let run = |timed| {
+                    sim.run(&HeraldScheduler::default(), scenario, timed)
+                        .unwrap()
+                };
+                let ((report, untimed), (timed_report, timed)) = (run(false), run(true));
+                assert_eq!(report, timed_report, "{label}");
+                assert_eq!(report.swaps().len(), 1);
+                assert!(timed.run_ns > 0 && timed.harvest_ns > 0 && timed.compile_ns > 0);
+                assert!(timed.max_batch_events > 1, "{label}");
+                assert_eq!(timed.lone_frames > 0, alone, "{label}");
+                let zeroed = HotPathProfile {
+                    compile_ns: 0,
+                    admit_ns: 0,
+                    run_ns: 0,
+                    harvest_ns: 0,
+                    walk_ns: 0,
+                    ..timed
+                };
+                assert_eq!(untimed, zeroed, "{label}");
+            }
         }
     }
 

@@ -91,7 +91,7 @@ impl MemProfile {
 pub struct HotPathProfile {
     /// Trace events replayed (arrivals + swaps).
     pub events: u64,
-    /// Frames admitted to the event core.
+    /// Frames admitted to the event core, `lone_frames` included.
     pub admissions: u64,
     /// Commit windows: groups of events admitted against one
     /// `run_until` of the core instead of one per event.
@@ -139,6 +139,15 @@ pub struct HotPathProfile {
     /// Selections settled by the memory-aware flat scan, because the
     /// earliest-ready head might not fit the global buffer in time.
     pub fallback_scans: u64,
+    /// Frames committed in one pass on arrival, because they ran alone on
+    /// the chip until the next trace event; their commits count in
+    /// `commits` but take no selection or head scan.
+    pub lone_frames: u64,
+    /// Arrivals whose one-pass plan was made and then declined (the
+    /// frame went through admission instead). Arrivals that fail a check
+    /// made before any plan (a frame in flight, the buffer gate, the
+    /// idle-chip bound) are not counted.
+    pub lone_declines: u64,
     /// Wall-clock nanoseconds compiling schedules (zero unless
     /// profiled).
     pub compile_ns: u64,
@@ -183,6 +192,8 @@ impl HotPathProfile {
         self.selections += other.selections;
         self.head_scans += other.head_scans;
         self.fallback_scans += other.fallback_scans;
+        self.lone_frames += other.lone_frames;
+        self.lone_declines += other.lone_declines;
         self.compile_ns += other.compile_ns;
         self.admit_ns += other.admit_ns;
         self.run_ns += other.run_ns;
@@ -225,6 +236,8 @@ mod tests {
             selections: 11,
             head_scans: 13,
             fallback_scans: 1,
+            lone_frames: 8,
+            lone_declines: 2,
             walk_ns: 7,
             ..Default::default()
         };
@@ -238,6 +251,8 @@ mod tests {
             selections: 4,
             head_scans: 5,
             fallback_scans: 2,
+            lone_frames: 3,
+            lone_declines: 6,
             walk_ns: 4,
             ..Default::default()
         };
@@ -248,6 +263,7 @@ mod tests {
             (a.commits, a.selections, a.head_scans, a.fallback_scans),
             (12, 15, 18, 3)
         );
+        assert_eq!((a.lone_frames, a.lone_declines), (11, 8));
         assert_eq!(a.admission_batches, 5);
         assert_eq!(a.max_batch_events, 5);
         assert!((a.arena_reuse_rate() - 0.8).abs() < 1e-12);

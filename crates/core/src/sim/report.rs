@@ -335,12 +335,6 @@ impl QuantileSketch {
         0.5f64.powi(self.bits as i32 + 1)
     }
 
-    /// Touched buckets (the O(buckets) memory term).
-    #[must_use]
-    pub fn buckets_len(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Heap + inline bytes this sketch occupies.
     #[must_use]
     pub fn memory_bytes(&self) -> u64 {

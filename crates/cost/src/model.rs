@@ -405,17 +405,6 @@ impl CostModel {
         }
     }
 
-    /// Evaluates a layer under an explicit, externally constructed mapping
-    /// (not memoized).
-    pub fn evaluate_mapping(
-        &self,
-        layer: &Layer,
-        mapping: &Mapping,
-        bandwidth_gbps: f64,
-    ) -> LayerCost {
-        self.assemble(layer, mapping, bandwidth_gbps, false)
-    }
-
     /// Evaluates a layer on a reconfigurable array (RDA, e.g. MAERI): the
     /// best style under `metric` among all three evaluated dataflows, with
     /// the reconfiguration taxes applied.
@@ -483,16 +472,6 @@ impl CostModel {
             q.reconfigurable,
             q.sparse_gating,
         )
-    }
-
-    fn assemble(
-        &self,
-        layer: &Layer,
-        mapping: &Mapping,
-        bandwidth_gbps: f64,
-        reconfigurable: bool,
-    ) -> LayerCost {
-        self.assemble_gated(layer, mapping, bandwidth_gbps, reconfigurable, false)
     }
 
     fn assemble_gated(

@@ -202,11 +202,6 @@ impl ModelBuilder {
         }
     }
 
-    /// Id that the *next* added layer will receive.
-    pub fn next_id(&self) -> LayerId {
-        LayerId(self.layers.len())
-    }
-
     /// Id of the most recently added layer, if any.
     pub fn last_id(&self) -> Option<LayerId> {
         self.layers.len().checked_sub(1).map(LayerId)
