@@ -194,7 +194,81 @@ pub(crate) enum Timeline {
     /// Busy seconds per (window, way) cell at `[window * ways + way]`,
     /// over fixed windows of `window_s` seconds from 0 (sketch stream
     /// reports). Cells grow to the last window a span reaches.
-    Windows { window_s: f64, cells: Vec<f64> },
+    Windows {
+        window_s: f64,
+        cells: Vec<f64>,
+        cursor: WindowCursor,
+    },
+}
+
+impl Timeline {
+    /// A [`Timeline::Windows`] of `window_s`-second windows, no cells yet.
+    pub(crate) fn windows(window_s: f64) -> Self {
+        Timeline::Windows {
+            window_s,
+            cells: Vec::new(),
+            cursor: WindowCursor::NONE,
+        }
+    }
+}
+
+/// The utilization window of the last span booked inside one window, and
+/// the times that fall in it: a span inside it is booked without a
+/// division.
+#[derive(Clone, Copy)]
+pub(crate) struct WindowCursor {
+    k: usize,
+    /// A time `t` falls in window `k` (`(t / window_s) as usize == k`)
+    /// exactly when `from <= t < to`.
+    from: f64,
+    to: f64,
+}
+
+impl WindowCursor {
+    /// A cursor no span falls in.
+    const NONE: Self = Self {
+        k: 0,
+        from: f64::INFINITY,
+        to: f64::NEG_INFINITY,
+    };
+
+    /// The cursor of window `k`, or [`WindowCursor::NONE`] where its
+    /// bounds are not found.
+    fn new(k: usize, window_s: f64) -> Self {
+        match (
+            window_start(k, window_s),
+            window_start(k.saturating_add(1), window_s),
+        ) {
+            (Some(from), Some(to)) => Self { k, from, to },
+            _ => Self::NONE,
+        }
+    }
+}
+
+/// The least time `t` with `(t / window_s) as usize >= k`: a few ulps
+/// from `k * window_s`. Division by a positive width and truncation are
+/// both monotone, so every later time divides into window `k` or beyond
+/// and every earlier one before it. `None` when a short ulp walk does not
+/// settle it (a subnormal or infinite product, or a huge `k`).
+fn window_start(k: usize, window_s: f64) -> Option<f64> {
+    if k == 0 {
+        return Some(f64::NEG_INFINITY);
+    }
+    let reaches = |t: f64| (t / window_s) as usize >= k;
+    let mut t = k as f64 * window_s;
+    if !(t.is_normal() && window_s.is_normal()) {
+        return None;
+    }
+    for _ in 0..64 {
+        if !reaches(t) {
+            t = t.next_up();
+        } else if reaches(t.next_down()) {
+            t = t.next_down();
+        } else {
+            return Some(t);
+        }
+    }
+    None
 }
 
 /// One frame in flight.
@@ -995,14 +1069,29 @@ impl<'a> EventCore<'a> {
             // A horizon so short that its windows round to zero width
             // gets no utilization cells, as the arrival windows get none.
             Timeline::Windows { window_s, .. } if *window_s <= 0.0 => {}
-            Timeline::Windows { window_s, cells } => {
-                let window_s = *window_s;
-                let ways = self.acc_free.len();
-                let last = (fin / window_s) as usize;
-                if (last + 1) * ways > cells.len() {
-                    cells.resize((last + 1) * ways, 0.0);
-                }
-                for k in (start / window_s) as usize..=last {
+            Timeline::Windows {
+                window_s,
+                cells,
+                cursor,
+            } => {
+                let (window_s, ways) = (*window_s, self.acc_free.len());
+                // A span inside the cursor's window books that window,
+                // whose cells exist, with no division.
+                let (first, last) = if start >= cursor.from && fin < cursor.to {
+                    (cursor.k, cursor.k)
+                } else {
+                    let (first, last) = ((start / window_s) as usize, (fin / window_s) as usize);
+                    if (last + 1) * ways > cells.len() {
+                        cells.resize((last + 1) * ways, 0.0);
+                    }
+                    // Starts never decrease, so later spans that fit one
+                    // window mostly fit this one.
+                    if first == last {
+                        *cursor = WindowCursor::new(last, window_s);
+                    }
+                    (first, last)
+                };
+                for k in first..=last {
                     let lo = k as f64 * window_s;
                     let overlap = (fin.min(lo + window_s) - start.max(lo)).max(0.0);
                     if overlap > 0.0 {
@@ -1976,7 +2065,9 @@ mod tests {
         let timeline = match &core.timeline {
             Timeline::Entries => String::new(),
             Timeline::Spans(lists) => format!("{lists:?}"),
-            Timeline::Windows { window_s, cells } => format!("{window_s:?} {cells:?}"),
+            Timeline::Windows {
+                window_s, cells, ..
+            } => format!("{window_s:?} {cells:?}"),
         };
         format!(
             "{:?} {:?} {:?} {} {:?} {:?} {} {} {} {timeline}",
@@ -2024,10 +2115,7 @@ mod tests {
         let timeline = match kind {
             0 => Timeline::Entries,
             1 => Timeline::Spans(vec![Vec::new(); acc.sub_accelerators().len()]),
-            _ => Timeline::Windows {
-                window_s,
-                cells: Vec::new(),
-            },
+            _ => Timeline::windows(window_s),
         };
         EventCore::with_timeline(acc, timeline)
     }
@@ -2054,6 +2142,93 @@ mod tests {
         core.run_until(f64::INFINITY).unwrap();
         core.take_frame(slot);
         core
+    }
+
+    #[test]
+    fn window_cursor_books_what_the_division_books() {
+        // Oracle: the utilization loop that divides both ends of every
+        // span. Spans on two ways, back to back or with gaps, short and
+        // window-crossing, starting and ending on, just below and just
+        // above window bounds, under awkward widths: the cells must
+        // equal the oracle's bit for bit, with both the cursor's window
+        // and the division taken many times.
+        let mut rng = SplitMix64::seed_from_u64(0x3140_2026);
+        let res = herald_arch::HardwareResources::new(1024, 16.0, 4 << 20);
+        let acc = AcceleratorConfig::sm_fda(DataflowStyle::Nvdla, 2, res).unwrap();
+        let ways = acc.sub_accelerators().len();
+        let (mut inside, mut divided) = (0, 0);
+        let widths = [
+            0.1,
+            1.0 / 3.0,
+            0.7,
+            1e-3 * std::f64::consts::PI,
+            123.4,
+            2.5e-7,
+        ];
+        for window_s in widths {
+            for k in [1, 2, 3, 7, 10, 1000, 123_457] {
+                let t = window_start(k, window_s).unwrap();
+                assert!((t / window_s) as usize >= k, "{window_s} {k}");
+                assert!(((t.next_down() / window_s) as usize) < k, "{window_s} {k}");
+            }
+            let mut core = EventCore::with_timeline(&acc, Timeline::windows(window_s));
+            let mut oracle: Vec<f64> = Vec::new();
+            let mut now = 0.0f64;
+            for _ in 0..3000 {
+                let a = rng.gen_range(0, ways);
+                let k = (now / window_s) as usize + rng.gen_range(0, 2);
+                let bound = window_start(k + 1, window_s).unwrap();
+                let start = match rng.gen_range(0, 4) {
+                    0 => bound,
+                    1 => bound.next_down(),
+                    2 => bound.next_up(),
+                    _ => now + rng.gen_unit() * window_s / 4.0,
+                }
+                .max(now)
+                .max(core.acc_free[a]);
+                let end = window_start((start / window_s) as usize + 1, window_s).unwrap();
+                let latency_s = match rng.gen_range(0, 4) {
+                    0 => end - start,
+                    1 => end.next_down() - start,
+                    2 => rng.gen_unit() * 3.0 * window_s,
+                    _ => rng.gen_unit() * window_s / 8.0,
+                };
+                let fin = start + latency_s;
+                let Timeline::Windows { cursor, .. } = &core.timeline else {
+                    unreachable!("a windows timeline");
+                };
+                if start >= cursor.from && fin < cursor.to {
+                    inside += 1;
+                } else {
+                    divided += 1;
+                }
+                let cost = CommitCost {
+                    latency_s,
+                    occ: 0,
+                    energy: EnergyBreakdown::default(),
+                    style: DataflowStyle::Nvdla,
+                };
+                core.book(start, a, TaskId(0), &cost, &mut Vec::new());
+                let last = (fin / window_s) as usize;
+                if (last + 1) * ways > oracle.len() {
+                    oracle.resize((last + 1) * ways, 0.0);
+                }
+                for w in (start / window_s) as usize..=last {
+                    let lo = w as f64 * window_s;
+                    let overlap = (fin.min(lo + window_s) - start.max(lo)).max(0.0);
+                    if overlap > 0.0 {
+                        oracle[w * ways + a] += overlap;
+                    }
+                }
+                now = start;
+            }
+            let Timeline::Windows { cells, .. } = &core.timeline else {
+                unreachable!("a windows timeline");
+            };
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(cells), bits(&oracle), "window {window_s}");
+        }
+        assert!(inside > 1000 && divided > 1000, "{inside} {divided}");
     }
 
     #[test]

@@ -945,10 +945,7 @@ impl Collector {
     pub(crate) fn timeline(&self, ways: usize) -> Timeline {
         match self.report.mode {
             ReportMode::Exact => Timeline::Spans(vec![Vec::new(); ways]),
-            ReportMode::Sketch { .. } => Timeline::Windows {
-                window_s: self.report.window_s,
-                cells: Vec::new(),
-            },
+            ReportMode::Sketch { .. } => Timeline::windows(self.report.window_s),
         }
     }
 
